@@ -99,16 +99,14 @@ int main() {
     for (const std::int64_t s : rb.steps.samples())
       random_steps.add(static_cast<double>(s));
 
-    // The identical random sweep through BatchEngine::kLane. The SoA
-    // kernel is two-process-only, so every lane here takes the pooled
-    // scalar fallback — the row pins that flipping the knob costs nothing
-    // where the kernel cannot engage. Capped at n <= 256 (the historical
-    // 5M-step region) to stay inside the CI smoke budget.
+    // The identical random sweep armed by a LaneSchedSpec instead of a
+    // factory. The SoA kernel is two-process-only, so every run here takes
+    // the lane engine's per-seed path — the row pins that the spec costs
+    // nothing where the kernel cannot engage. Capped at n <= 256 (the
+    // historical 5M-step region) to stay inside the CI smoke budget.
     if (n <= 256) {
-      opts.engine = BatchEngine::kLane;
       opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x5, 0};
       const BatchSummary lb = batch.run(opts, nullptr);
-      opts.engine = BatchEngine::kScalar;
       whole_sweep.add_steps(lb.total_steps);
       add_lane_batch_report(report, "random" + suffix, lb);
     }

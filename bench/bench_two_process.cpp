@@ -93,11 +93,12 @@ SampleSet measure(const TwoProcessProtocol& protocol,
   return steps;
 }
 
-// The same sweeps through BatchEngine::kLane: W seeds in lockstep per
-// worker. The BatchSummary is bit-identical to measure()'s (pinned by
-// batch_test's BatchLane suite), so only the rate changes — the random
-// sweep takes the SoA kernel, the adversary sweep the scalar fallback
-// (its rate shows the knob costs nothing when the kernel can't engage).
+// The same sweeps armed by a LaneSchedSpec instead of a factory, which
+// lets the lane engine pick its kernel. The BatchSummary is bit-identical
+// to measure()'s (pinned by batch_test's BatchLane suite), so only the
+// rate changes — the random sweep takes the SoA kernel, the adversary
+// sweep the per-seed path (its rate shows the spec costs nothing when the
+// kernel can't engage).
 void measure_lane(const TwoProcessProtocol& protocol,
                   const char* scheduler_name, BenchReport& report) {
   const std::string name = scheduler_name;
@@ -106,7 +107,6 @@ void measure_lane(const TwoProcessProtocol& protocol,
   opts.first_seed = 0;
   opts.num_runs = kRuns;
   opts.threads = bench_threads();
-  opts.engine = BatchEngine::kLane;
   opts.lanes = bench_lanes();
   opts.lane_sched = name == "random"
                         ? LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0}
@@ -123,9 +123,10 @@ void measure_lane(const TwoProcessProtocol& protocol,
 
 // X14's crash series: the random sweep under a shared crash/recovery plan
 // (P0 crashes at its 2nd step, recovers 8 ticks later), measured on both
-// engines. The lane engine serves the plan natively through its per-lane
-// fault cursors — summaries stay bit-identical (BatchLane.FaultSweepBitIdentity),
-// so the lane_us_per_run / us_per_run ratio is the fault kernel's speedup.
+// of the lane engine's paths. Its lockstep kernel serves the plan through
+// per-lane fault cursors — summaries stay bit-identical to the per-seed
+// path (BatchLane.FaultSweepBitIdentity), so the lane_us_per_run /
+// us_per_run ratio is the fault kernel's speedup.
 void measure_crash_series(const TwoProcessProtocol& protocol,
                           BenchReport& report) {
   fault::FaultPlan plan;
@@ -151,7 +152,6 @@ void measure_crash_series(const TwoProcessProtocol& protocol,
               1e6 * scalar.wall_seconds / static_cast<double>(scalar.num_runs),
               static_cast<long long>(scalar.recoveries));
 
-  opts.engine = BatchEngine::kLane;
   opts.lanes = bench_lanes();
   opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
   const BatchSummary lane = batch.run(opts, nullptr);

@@ -92,7 +92,7 @@ inline int bench_threads() {
   return static_cast<int>(std::min<unsigned>(8, hw == 0 ? 1 : hw));
 }
 
-/// Lane width W for engine=lane sweeps: default 8 (the committed-baseline
+/// Lane width W for lane-kernel sweeps: default 8 (the committed-baseline
 /// width), overridable via CIL_BENCH_LANES for lane-width scaling runs
 /// (EXPERIMENTS.md X13 sweeps W in {1,2,4,8,16}).
 inline int bench_lanes() {
@@ -234,8 +234,8 @@ inline void add_batch_report(BenchReport& report, const std::string& key,
   report.set_value("wall." + key + ".run_s", b.run_seconds);
 }
 
-/// The engine=lane twin of add_batch_report, for a sweep of the SAME
-/// workload rerun through BatchEngine::kLane: the summary is bit-identical
+/// The lane-kernel twin of add_batch_report, for a sweep of the SAME
+/// workload rerun from a LaneSchedSpec: the summary is bit-identical
 /// by contract (pinned by batch_test), so only rate metrics are emitted —
 ///   batch.<key>.lane_runs_per_sec            — the human headline rate;
 ///   batch.<key>.lane_us_per_run              — its lower-is-better form,

@@ -744,8 +744,8 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
         range = shards[static_cast<std::size_t>(local_idx)].range;
       }
       note("shard " + std::to_string(local_idx) + " running locally");
-      const fabric::ShardSummary out = svc::run_sweep_shard(spec, range,
-                                                            cancel, limits_);
+      const fabric::ShardSummary out =
+          svc::run_sweep_shard(spec, range, cancel);
       {
         std::lock_guard<std::mutex> lock(shard_mu_);
         commit_shard_result(local_idx, out, spec);

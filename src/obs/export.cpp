@@ -1,6 +1,7 @@
 #include "obs/export.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
@@ -372,8 +373,14 @@ void fsync_parent_dir(const std::string& path) {
 bool write_text_file_atomic(const std::string& path,
                             const std::string& content) {
   // Same directory as the destination so the rename cannot cross devices.
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = net::open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC);
+  // The name is unique per call, not just per process: two threads writing
+  // the same path must not share (and rename away) one temp file.
+  static std::atomic<std::uint64_t> next_tmp{0};
+  const std::string tmp =
+      path + ".tmp." + std::to_string(::getpid()) + "." +
+      std::to_string(next_tmp.fetch_add(1, std::memory_order_relaxed));
+  const int fd =
+      net::open_retry(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_TRUNC);
   if (fd < 0) {
     std::fprintf(stderr, "obs: cannot open %s for writing\n", tmp.c_str());
     return false;

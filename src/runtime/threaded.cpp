@@ -22,12 +22,15 @@ class RawAtomicRegisters final : public SharedRegisters {
     for (const auto& s : specs) cells_.emplace_back(s.initial);
   }
 
-  Word read(RegisterId r, ProcessId) override {
-    return cells_[r].load(std::memory_order_acquire);
-  }
+  // Sequentially consistent on purpose. With release stores and acquire
+  // loads, a write can still sit in the store buffer while the writer's
+  // next read (of another register) runs, so two processes can each miss
+  // the other's write — not an atomic register, and enough to break
+  // consensus (ConsensusArena.ThreadsReleasedTogetherNeverDisagree).
+  Word read(RegisterId r, ProcessId) override { return cells_[r].load(); }
 
   void write(RegisterId r, ProcessId, Word value) override {
-    cells_[r].store(value, std::memory_order_release);
+    cells_[r].store(value);
   }
 
  private:

@@ -6,8 +6,9 @@
 // registers, demonstrating the paper's "implementable in existing
 // technology" claim (X2 in DESIGN.md):
 //
-//   * kRawAtomic — each register is one std::atomic<Word> (all our protocols
-//     use single-writer registers, so release/acquire is enough);
+//   * kRawAtomic — each register is one sequentially consistent
+//     std::atomic<Word> (release/acquire is not enough: it lets a write be
+//     overtaken by the writer's next read of another register);
 //   * kConstructed — each register is an AtomicSwmr built from the layered
 //     safe→regular→atomic constructions of src/registers, i.e. the full
 //     1987 story from flickering bits upward.

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <limits>
-#include <optional>
 #include <thread>
 
-#include "fault/sim_faults.h"
 #include "util/check.h"
 
 namespace cil {
@@ -83,51 +80,8 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
                               const SchedulerFactory& make_scheduler,
                               const RunProbe& probe, const RunHook& after_run) {
   CIL_EXPECTS(options.num_runs >= 0);
-  const bool lane_requested = options.engine == BatchEngine::kLane;
-  // The lane engine has no per-run Simulation to hand a probe (SoA lanes
-  // share one state block), so a probed engine=lane sweep degrades to the
-  // scalar engine — same summary (the engines are bit-identical), just no
-  // lockstep speedup — rather than aborting a sweep that is perfectly
-  // serviceable. The downgrade is loud: once on stderr, and durably in
-  // BatchSummary::note so artifacts record it.
-  const bool lane = lane_requested && probe == nullptr;
-  CIL_CHECK_MSG(lane || make_scheduler != nullptr,
-                lane_requested
-                    ? "BatchRunner: engine=lane with a RunProbe falls back to "
-                      "the scalar engine, which needs a scheduler factory"
-                    : "BatchRunner: engine=scalar needs a scheduler factory");
   BatchSummary out;
-  if (lane_requested && !lane) {
-    std::fprintf(stderr,
-                 "BatchRunner: engine=lane cannot serve a RunProbe; running "
-                 "this sweep on the scalar engine\n");
-    out.note =
-        "engine=lane downgraded to scalar: a RunProbe needs per-run "
-        "Simulation access";
-  }
   if (options.num_runs == 0) return out;
-
-  // One LaneRunOptions mapping shared by the width report and every lane
-  // worker, so they cannot drift.
-  const auto lane_options = [&options] {
-    LaneRunOptions lo;
-    lo.lanes = options.lanes;
-    lo.max_total_steps = options.max_total_steps;
-    lo.check_every = options.check_every;
-    lo.check_consistency = options.check_consistency;
-    lo.check_nontriviality = options.check_nontriviality;
-    lo.sched = options.lane_sched;
-    lo.cancel = options.cancel;
-    lo.fault_plan = options.fault_plan;
-    lo.simd_width = options.simd_width;
-    return lo;
-  };
-  if (lane) {
-    // What width the workers' kernels will run at (pure function of the
-    // protocol, options, and host CPU — cheap to ask a throwaway engine).
-    LaneEngine width_probe(protocol_, inputs_);
-    out.simd_width = width_probe.selected_simd_width(lane_options());
-  }
 
   const auto t_start = Clock::now();
 
@@ -149,17 +103,32 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
       static_cast<std::size_t>(threads),
       std::numeric_limits<std::int64_t>::max());
 
-  // engine=kLane shard execution: same shard boundaries, same seed-indexed
-  // record slots, same earliest-seed error attribution — only the inner
-  // loop changes, from one pooled Simulation to W lockstep lanes. The
-  // reduction below cannot tell the workers apart, which is exactly the
-  // thread-count/engine-invariance contract.
-  const auto lane_worker = [&](int w, std::int64_t begin, std::int64_t end) {
+  // One shard, one LaneEngine. Runs land in seed-indexed record slots and a
+  // failure is attributed to its run index, so the reduction below cannot
+  // tell how the range was sharded — the thread/lane-invariance contract.
+  const auto worker = [&](int w, std::int64_t begin, std::int64_t end) {
     WorkerTiming& wt = timing[static_cast<std::size_t>(w)];
     try {
       const auto c0 = Clock::now();
       LaneEngine engine(protocol_, inputs_);
-      const LaneRunOptions lo = lane_options();
+      LaneRunOptions lo;
+      lo.lanes = options.lanes;
+      lo.max_total_steps = options.max_total_steps;
+      lo.check_every = options.check_every;
+      lo.check_consistency = options.check_consistency;
+      lo.check_nontriviality = options.check_nontriviality;
+      lo.sched = options.lane_sched;
+      lo.probe = probe;
+      lo.cancel = options.cancel;
+      lo.fault_plan = options.fault_plan;
+      if (make_scheduler != nullptr) {
+        lo.scheduler = make_scheduler();
+        CIL_CHECK_MSG(lo.scheduler != nullptr,
+                      "BatchRunner: scheduler factory returned null provider");
+      } else if (options.engine == BatchEngine::kScalar) {
+        lo.scheduler = spec_scheduler(options.lane_sched);
+      }
+      if (w == 0) out.simd_width = engine.selected_simd_width(lo);
       const auto c1 = Clock::now();
       wt.construct += seconds_between(c0, c1);
       bool complete = false;
@@ -176,6 +145,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
               rec.max_register_bits = v.max_register_bits;
               rec.decision = v.decision;
               rec.all_decided = v.all_decided;
+              rec.probe = v.probe;
               if (after_run != nullptr) after_run(v.seed);
             });
       } catch (...) {
@@ -193,81 +163,6 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
     }
   };
 
-  const auto scalar_worker = [&](int w, std::int64_t begin, std::int64_t end) {
-    WorkerTiming& wt = timing[static_cast<std::size_t>(w)];
-    std::int64_t i = begin;
-    try {
-      const SchedulerProvider provide = make_scheduler();
-      CIL_CHECK_MSG(provide != nullptr,
-                    "BatchRunner: scheduler factory returned null provider");
-      std::optional<Simulation> sim;
-      // Fault rig, re-armed per seed: FaultPlanScheduler wants fresh event
-      // cursors for every run, and the register hook must be re-installed
-      // after every reset (RegisterFile::reset clears it). Keyed by the
-      // plan's own seed so every run sees the same fault stream — the same
-      // rig LaneEngine's fallback builds, hence engine-invariant summaries.
-      std::optional<fault::FaultPlanScheduler> plan_sched;
-      std::optional<fault::SimRegisterFaults> reg_faults;
-      for (; i < end; ++i) {
-        if (options.cancel != nullptr &&
-            options.cancel->load(std::memory_order_relaxed)) {
-          cancelled.store(true, std::memory_order_relaxed);
-          break;
-        }
-        const std::uint64_t seed =
-            options.first_seed + static_cast<std::uint64_t>(i);
-        SimOptions so;
-        so.seed = seed;
-        so.max_total_steps = options.max_total_steps;
-        so.check_every = options.check_every;
-        so.check_consistency = options.check_consistency;
-        so.check_nontriviality = options.check_nontriviality;
-
-        const auto c0 = Clock::now();
-        if (!sim) {
-          sim.emplace(protocol_, inputs_, so);
-        } else {
-          sim->reset(inputs_, so);
-        }
-        Scheduler* sched = &provide(seed);
-        if (options.fault_plan != nullptr) {
-          plan_sched.emplace(*sched, *options.fault_plan);
-          sched = &*plan_sched;
-          if (options.fault_plan->registers.any_word_faults()) {
-            reg_faults.emplace(options.fault_plan->registers,
-                               options.fault_plan->seed, sim->regs().size());
-            sim->mutable_regs().set_fault_hook(&*reg_faults);
-          }
-        }
-        const auto c1 = Clock::now();
-        const SimResult r = sim->run(*sched);
-        const auto c2 = Clock::now();
-        wt.construct += seconds_between(c0, c1);
-        wt.run += seconds_between(c1, c2);
-
-        RunRecord& rec = records[static_cast<std::size_t>(i)];
-        rec.total_steps = r.total_steps;
-        if (!r.steps_per_process.empty()) {
-          rec.steps_p0 = r.steps_per_process[0];
-          if (r.steps_per_process.size() > 1)
-            rec.steps_p1 = r.steps_per_process[1];
-        }
-        rec.recoveries = r.recoveries;
-        rec.max_register_bits = r.max_register_bits;
-        rec.decision = r.decision.value_or(kNoValue);
-        rec.all_decided = r.all_decided;
-        if (probe != nullptr) rec.probe = probe(*sim, r);
-        if (after_run != nullptr) after_run(seed);
-      }
-    } catch (...) {
-      errors[static_cast<std::size_t>(w)] = std::current_exception();
-      error_run[static_cast<std::size_t>(w)] = i;
-    }
-  };
-
-  const std::function<void(int, std::int64_t, std::int64_t)> worker =
-      lane ? std::function<void(int, std::int64_t, std::int64_t)>(lane_worker)
-           : scalar_worker;
   if (threads == 1) {
     worker(0, 0, options.num_runs);
   } else {

@@ -1,23 +1,21 @@
-// Seed-parallel batch execution over pooled simulations.
+// Seed-parallel batch execution.
 //
 // A sweep of independent runs — one per seed — is the workload behind every
-// bench, tail plot, and fitness sweep in this repo. BatchRunner executes
-// such a sweep with two amortizations the per-run path cannot have:
-//
-//  * POOLING: each worker owns ONE Simulation and re-arms it per seed via
-//    Simulation::reset(), so the per-run cost is re-initialization at
-//    existing capacity, not construction (allocation-free for the core
-//    protocols after warmup; pinned by batch_test's counting allocator).
-//  * SHARDING: the seed range [first_seed, first_seed + num_runs) is split
-//    into contiguous shards, one per std::thread worker.
+// bench, tail plot, and fitness sweep in this repo. BatchRunner splits the
+// seed range [first_seed, first_seed + num_runs) into contiguous shards,
+// one per std::thread worker, and runs each shard through one LaneEngine
+// (sched/lane_engine.h). The engine picks the kernel: W seeds in lockstep
+// when the configuration allows it, otherwise one pooled Simulation re-armed
+// per seed via Simulation::reset() (allocation-free for the core protocols
+// after warmup; pinned by batch_test's counting allocator).
 //
 // Determinism is the contract that makes the parallelism invisible: a run's
 // outcome is a pure function of (protocol, inputs, options, seed), because
-// reset() restarts the PRNG stream and the scheduler factory re-arms each
-// worker's private scheduler per seed. Per-run records land in a
-// preallocated slot indexed by global run index, and the reduction walks
-// those slots in seed order — so the BatchSummary is bit-identical whether
-// the sweep ran on 1 thread or 16 (also pinned by batch_test).
+// reset() restarts the PRNG stream and each worker's scheduler is re-armed
+// per seed. Per-run records land in a preallocated slot indexed by global
+// run index, and the reduction walks those slots in seed order — so the
+// BatchSummary is bit-identical whether the sweep ran on 1 thread or 16,
+// with 1 lane or 64 (also pinned by batch_test).
 #pragma once
 
 #include <atomic>
@@ -25,7 +23,6 @@
 #include <functional>
 #include <map>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "sched/lane_engine.h"
@@ -57,13 +54,14 @@ std::vector<SeedRange> split_seed_range(const SeedRange& range, int parts);
 std::vector<SeedRange> shard_seed_range(const SeedRange& range,
                                         std::int64_t shard_size);
 
-/// Which per-worker execution engine a batch uses. The summary is
-/// bit-identical either way (pinned by batch_test); only wall clock and the
-/// surfaces served differ — the lane engine takes no RunProbe and requires
-/// the scheduler be expressed as a LaneSchedSpec instead of a factory.
+/// A test hook, not a knob: the summary is bit-identical either way
+/// (pinned by batch_test). kScalar forces every run onto the engine's
+/// per-seed path, even where the lockstep kernels could serve it. The
+/// perfbench/ programs still assign kLane; this enum and the field go when
+/// that benchmark next changes.
 enum class BatchEngine {
-  kScalar,  ///< one pooled Simulation per worker (the historical path)
-  kLane,    ///< LaneEngine: W seeds in lockstep per worker (sched/lane_engine.h)
+  kScalar,  ///< every run on the per-seed path
+  kLane,    ///< the engine picks its kernel (the default)
 };
 
 struct BatchOptions {
@@ -72,29 +70,17 @@ struct BatchOptions {
   /// Worker threads; 0 = hardware concurrency. Clamped to num_runs. The
   /// summary does not depend on this (only the wall timings do).
   int threads = 1;
-  /// engine == kLane runs each worker's shard through a LaneEngine at
-  /// `lanes` lockstep lanes, armed by `lane_sched` (the make_scheduler
-  /// factory argument is ignored and may be null). Configurations outside
-  /// the SoA kernel's reach (adaptive adversaries, other protocols) still
-  /// work — LaneEngine falls back per lane to scalar-identical math — so
-  /// callers flip the knob without caring which path serves them. The
-  /// summary never depends on engine, threads, or lanes.
-  BatchEngine engine = BatchEngine::kScalar;
+  BatchEngine engine = BatchEngine::kLane;
+  /// Lockstep lanes per worker's LaneEngine. The summary never depends on
+  /// it (nor on threads); only the rate does.
   int lanes = 8;
+  /// Each run's scheduler when run() gets no scheduler factory.
   LaneSchedSpec lane_sched;
   /// Shared fault schedule applied to every run, or null for fault-free
-  /// sweeps. Served by BOTH engines with bit-identical summaries: scalar
-  /// workers wrap each seed's scheduler in a FaultPlanScheduler (plus the
-  /// SimRegisterFaults hook when the plan carries word-fault rates); lane
-  /// workers hand the plan to LaneEngine, whose SoA fault kernel carries
-  /// representable crash/recovery plans in the lanes and falls back to the
-  /// same scalar rig for the rest. Borrowed; must outlive run().
+  /// sweeps. LaneEngine carries representable crash/recovery plans in its
+  /// lanes and wraps each seed's scheduler in a FaultPlanScheduler for the
+  /// rest, with bit-identical summaries. Borrowed; must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
-  /// SIMD width request forwarded to lane workers: 0 picks the widest
-  /// compiled width the CPU supports; 1/2/4 force a narrower kernel (for
-  /// cross-width comparisons). Never changes the summary — only which
-  /// vector ISA computes it. Ignored by engine=scalar.
-  int simd_width = 0;
   // Per-run SimOptions (seed is supplied per run).
   std::int64_t max_total_steps = 1'000'000;
   std::int64_t check_every = 1;
@@ -116,9 +102,10 @@ class BatchCancelled : public std::runtime_error {
   BatchCancelled() : std::runtime_error("batch cancelled") {}
 };
 
-/// Arms and returns the scheduler for one run, given that run's seed. The
-/// returned reference must stay valid until the next call. A typical
-/// provider owns one pooled scheduler and reseeds it:
+/// Called once per worker (and once on the serial path) to build that
+/// worker's private SchedulerProvider (sched/lane_engine.h). Workers never
+/// share scheduler state, so the factory's products need no
+/// synchronization of their own:
 ///
 ///   batch.run(opts, [] {
 ///     auto s = std::make_shared<RandomScheduler>(0);
@@ -127,28 +114,15 @@ class BatchCancelled : public std::runtime_error {
 ///       return *s;
 ///     };
 ///   });
-using SchedulerProvider = std::function<Scheduler&(std::uint64_t seed)>;
-
-/// Called once per worker (and once on the serial path) to build that
-/// worker's private SchedulerProvider. Workers never share scheduler state,
-/// so the factory's products need no synchronization of their own.
 using SchedulerFactory = std::function<SchedulerProvider()>;
-
-/// Optional per-run probe, called on the worker thread right after each run
-/// with the finished pooled Simulation still holding the run's final state
-/// (e.g. peek final register contents for the Theorem 9 num-field tail).
-/// Must be stateless/thread-safe: workers call it concurrently.
-using RunProbe =
-    std::function<std::int64_t(const Simulation&, const SimResult&)>;
 
 /// Optional per-run hook, called on the worker thread after each finished
 /// run (after the probe) with that run's seed. NOT part of the summary —
 /// it exists for side effects: progress reporting, and the fabric's
 /// chaos-kill injection (a hook that _exit()s the worker process mid-shard).
-/// Must be thread-safe: workers call it concurrently. Under engine=kLane
-/// the hook fires in lane-harvest order, not seed order, within a shard —
-/// callers keying side effects on the seed (both existing users) are
-/// unaffected.
+/// Must be thread-safe: workers call it concurrently. The hook fires in
+/// lane-harvest order, not seed order, within a shard — callers keying side
+/// effects on the seed (every existing user) are unaffected.
 using RunHook = std::function<void(std::uint64_t seed)>;
 
 /// The deterministic, seed-order-stable reduction of a batch: every field
@@ -172,18 +146,16 @@ struct BatchSummary {
   // Machine/engine metadata — NOT part of the deterministic contract (the
   // values above never depend on them; pinned by batch_test). construct/run
   // are summed across workers (CPU-seconds-like); wall is end-to-end.
-  /// The SIMD width the lane kernels ran at (after the simd_width request
-  /// and the runtime CPU clamp); 1 for engine=scalar and for lane
-  /// configurations that took the scalar fallback. Reported so artifacts
-  /// record which vector ISA computed them (see tools/sweep
+  /// The SIMD width the lane kernels ran at (after $CIL_SIMD_WIDTH and the
+  /// runtime CPU clamp); 1 when the sweep took the per-seed path. Reported
+  /// so artifacts record which vector ISA computed them (see tools/sweep
   /// --verify-against).
   int simd_width = 1;
-  /// One-line advisory about engine selection (e.g. a probed sweep forced
-  /// engine=lane down to scalar); empty when nothing noteworthy happened.
-  std::string note;
   double wall_seconds = 0.0;
-  double construct_seconds = 0.0;  ///< Simulation ctor/reset + scheduler arming
-  double run_seconds = 0.0;        ///< Simulation::run
+  /// LaneEngine construction only. Per-seed Simulation reset and scheduler
+  /// arming happen inside the engine's run and count as run_seconds.
+  double construct_seconds = 0.0;
+  double run_seconds = 0.0;  ///< LaneEngine::run, the whole shard
 };
 
 class BatchRunner {
@@ -191,8 +163,11 @@ class BatchRunner {
   /// Every run uses the same protocol and inputs; only the seed varies.
   BatchRunner(const Protocol& protocol, std::vector<Value> inputs);
 
-  /// Execute the sweep. Throws the earliest-seed CoordinationViolation (or
-  /// other error) a serial sweep would have hit, after all workers joined.
+  /// Execute the sweep. A non-null `make_scheduler` sets every run's
+  /// schedule (called once per worker); otherwise options.lane_sched does.
+  /// A probe's values land in BatchSummary::probe. Throws the earliest-seed
+  /// CoordinationViolation (or other error) a serial sweep would have hit,
+  /// after all workers joined.
   BatchSummary run(const BatchOptions& options,
                    const SchedulerFactory& make_scheduler,
                    const RunProbe& probe = nullptr,

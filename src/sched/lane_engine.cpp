@@ -298,6 +298,21 @@ struct LaneEngine::Soa {
   std::vector<std::int64_t> recov;           ///< recoveries fired
 };
 
+SchedulerProvider spec_scheduler(const LaneSchedSpec& spec) {
+  if (spec.kind == LaneSchedSpec::Kind::kRandom) {
+    return [s = std::make_shared<RandomScheduler>(0),
+            x = spec.seed_xor](std::uint64_t seed) -> Scheduler& {
+      s->reseed(seed ^ x);
+      return *s;
+    };
+  }
+  return [s = std::make_shared<DecisionAvoidingAdversary>(0),
+          a = spec.seed_add](std::uint64_t seed) -> Scheduler& {
+    s->reseed(seed + a);
+    return *s;
+  };
+}
+
 LaneEngine::LaneEngine(const Protocol& protocol, std::vector<Value> inputs)
     : protocol_(protocol), inputs_(std::move(inputs)) {
   CIL_EXPECTS(static_cast<int>(inputs_.size()) == protocol_.num_processes());
@@ -327,6 +342,7 @@ LaneEngine::~LaneEngine() = default;
 
 bool LaneEngine::soa_supported(const LaneRunOptions& options) const {
   if (!(two_process_default_mode_ && options.scalar_run == nullptr &&
+        options.scheduler == nullptr && options.probe == nullptr &&
         options.sched.kind == LaneSchedSpec::Kind::kRandom &&
         options.obs.sink == nullptr))
     return false;
@@ -355,7 +371,9 @@ bool LaneEngine::run(std::uint64_t first_seed, std::int64_t num_runs,
   CIL_EXPECTS(options.simd_width == 0 || options.simd_width == 1 ||
               options.simd_width == 2 || options.simd_width == 4);
   // A custom scalar runner owns its whole rig, fault injection included.
-  CIL_EXPECTS(options.fault_plan == nullptr || options.scalar_run == nullptr);
+  CIL_EXPECTS(options.scalar_run == nullptr ||
+              (options.fault_plan == nullptr && options.scheduler == nullptr &&
+               options.probe == nullptr));
   failed_run_index_ = -1;
   if (num_runs == 0) return true;
   return soa_supported(options)
@@ -1044,13 +1062,13 @@ bool LaneEngine::run_soa_impl(std::uint64_t first_seed, std::int64_t num_runs,
 bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
                             const LaneRunOptions& options,
                             const LaneHarvest& harvest) {
-  // The divergence path: identical math to a scalar BatchRunner worker —
-  // one pooled Simulation reset per seed, one pooled scheduler re-armed per
-  // seed, the fault plan (if any) applied through a per-seed
-  // FaultPlanScheduler — so "lane diverged" can never mean "result differs".
+  // The per-seed path: one pooled Simulation reset per seed, each seed's
+  // scheduler from the caller's provider or the spec's pooled one, the
+  // fault plan (if any) applied through a per-seed FaultPlanScheduler.
+  const SchedulerProvider provide = options.scheduler != nullptr
+                                        ? options.scheduler
+                                        : spec_scheduler(options.sched);
   std::optional<Simulation> sim;
-  std::optional<RandomScheduler> random;
-  std::optional<DecisionAvoidingAdversary> avoid;
   std::optional<fault::FaultPlanScheduler> plan_sched;
   std::optional<fault::SimRegisterFaults> reg_faults;
 
@@ -1061,6 +1079,7 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
     const std::uint64_t seed = first_seed + static_cast<std::uint64_t>(i);
 
     SimResult r;
+    std::int64_t probe = 0;
     try {
       if (options.scalar_run != nullptr) {
         r = options.scalar_run(seed);
@@ -1078,27 +1097,11 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
         } else {
           sim->reset(inputs_, so);
         }
-        Scheduler* sched = nullptr;
-        if (options.sched.kind == LaneSchedSpec::Kind::kRandom) {
-          if (!random) {
-            random.emplace(seed ^ options.sched.seed_xor);
-          } else {
-            random->reseed(seed ^ options.sched.seed_xor);
-          }
-          sched = &*random;
-        } else {
-          if (!avoid) {
-            avoid.emplace(seed + options.sched.seed_add);
-          } else {
-            avoid->reseed(seed + options.sched.seed_add);
-          }
-          sched = &*avoid;
-        }
+        Scheduler* sched = &provide(seed);
         if (options.fault_plan != nullptr) {
           // Fresh event cursors per seed; the plan itself is shared. Word
           // faults re-arm per run too (reset() clears the hook), keyed by
-          // the plan's own seed so every run sees the same fault stream —
-          // the cross-engine contract BatchRunner's scalar workers follow.
+          // the plan's own seed so every run sees the same fault stream.
           plan_sched.emplace(*sched, *options.fault_plan);
           sched = &*plan_sched;
           if (options.fault_plan->registers.any_word_faults()) {
@@ -1108,6 +1111,7 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
           }
         }
         r = sim->run(*sched);
+        if (options.probe != nullptr) probe = options.probe(*sim, r);
       }
     } catch (...) {
       failed_run_index_ = i;
@@ -1123,6 +1127,7 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
     }
     v.recoveries = r.recoveries;
     v.max_register_bits = r.max_register_bits;
+    v.probe = probe;
     v.all_decided = r.all_decided;
     v.decision = r.decision.value_or(kNoValue);
     v.decisions = r.decisions.data();

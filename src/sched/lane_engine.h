@@ -23,12 +23,14 @@
 //
 // The SoA kernel serves the hot case: TwoProcessProtocol (default mode)
 // under uniformly random scheduling with no observation sink. Everything
-// else — adaptive adversaries, other protocols, observed runs, custom
-// rigs — DIVERGES to the scalar fallback: one pooled Simulation per
-// engine, reset per seed, run through exactly the code path BatchRunner's
-// scalar workers use, so divergent lanes are bit-identical by construction
-// rather than by reimplementation. `soa_supported()` reports which path a
-// configuration takes; sweeps need not care.
+// else — adaptive adversaries, other protocols, observed runs, probed
+// runs, caller-supplied schedulers, custom rigs — DIVERGES to the per-seed
+// path: one pooled Simulation per engine, reset per seed and run against a
+// real Scheduler, so divergent lanes are bit-identical by construction
+// rather than by reimplementation. It is the only per-seed loop a sweep
+// has: BatchRunner runs every shard through a LaneEngine.
+// `soa_supported()` reports which path a configuration takes; sweeps need
+// not care.
 //
 // Two dimensions of the kernel are decided per run() call:
 //
@@ -49,9 +51,8 @@
 //    Simulation::crash/recover, including idle clock ticks while every
 //    live processor is done but a restart is still due. Plans the kernel
 //    cannot represent (stalls, word faults, multi-crash, non-conservative
-//    recovery protocols) diverge to the scalar fallback, which wraps each
-//    seed's scheduler in a real FaultPlanScheduler — identical to what
-//    BatchRunner's scalar workers do with the same plan.
+//    recovery protocols) diverge to the per-seed path, which wraps each
+//    seed's scheduler in a real FaultPlanScheduler.
 #pragma once
 
 #include <atomic>
@@ -80,6 +81,28 @@ struct LaneSchedSpec {
   std::uint64_t seed_add = 17;      ///< kAvoid: scheduler seed = seed + this
 };
 
+/// Arms and returns the scheduler for one run, given that run's seed. The
+/// returned reference must stay valid until the next call. A typical
+/// provider owns one pooled scheduler and reseeds it:
+///
+///   [s = std::make_shared<RandomScheduler>(0)](std::uint64_t seed)
+///       -> Scheduler& {
+///     s->reseed(seed ^ 0x1234);
+///     return *s;
+///   };
+using SchedulerProvider = std::function<Scheduler&(std::uint64_t seed)>;
+
+/// Optional per-run probe, called right after each run with the finished
+/// pooled Simulation still holding the run's final state (e.g. peek final
+/// register contents for the Theorem 9 num-field tail).
+using RunProbe =
+    std::function<std::int64_t(const Simulation&, const SimResult&)>;
+
+/// The scheduler `spec` describes, as a provider owning one pooled
+/// scheduler re-armed per seed — what the per-seed path runs when
+/// LaneRunOptions::scheduler is unset.
+SchedulerProvider spec_scheduler(const LaneSchedSpec& spec);
+
 struct LaneRunOptions {
   int lanes = 8;  ///< W; clamped to the number of runs
   // Per-run SimOptions fields (seed is supplied per run).
@@ -89,10 +112,20 @@ struct LaneRunOptions {
   bool check_nontriviality = true;
   bool record_schedule = false;
   LaneSchedSpec sched;
-  /// Custom scalar runner for rigs the spec kinds cannot express (split
-  /// adversaries, fault plans, preset hooks). When set, every lane runs
+  /// Each seed's scheduler, in place of `sched`. Only the per-seed path can
+  /// run an arbitrary Scheduler, so setting this takes it; the fault plan,
+  /// if any, still wraps what it returns.
+  SchedulerProvider scheduler;
+  /// Called on the pooled Simulation after each run; the value is reported
+  /// as LaneRunView::probe. Takes the per-seed path (the SoA lanes have no
+  /// Simulation to hand it). Must be thread-safe: BatchRunner's workers
+  /// share one.
+  RunProbe probe;
+  /// Custom scalar runner for rigs a scheduler cannot express (per-seed
+  /// register-fault hooks, per-seed fault plans). When set, every lane runs
   /// through it and `sched` is ignored; the engine is then purely a
-  /// harvesting loop. Must be a pure function of the seed.
+  /// harvesting loop. Must be a pure function of the seed. Excludes
+  /// `scheduler`, `probe` and `fault_plan`: it owns its whole rig.
   std::function<SimResult(std::uint64_t seed)> scalar_run;
   /// Observation forces the scalar fallback for all lanes (the SoA kernel
   /// has no event stream), so an observed lane run emits exactly the
@@ -104,12 +137,11 @@ struct LaneRunOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// runs. Representable plans (crash/recovery only — see the header
-  /// comment) run on the SoA fault kernel; the rest take the scalar
-  /// fallback, which wraps each seed's spec-derived scheduler in a
-  /// FaultPlanScheduler (plus SimRegisterFaults when the plan carries
-  /// word-fault rates) — the exact rig BatchRunner's scalar workers use
-  /// for the same plan. Mutually exclusive with scalar_run (a custom
-  /// runner owns its whole rig). Borrowed; must outlive run().
+  /// comment) run on the SoA fault kernel; the rest take the per-seed
+  /// path, which wraps each seed's scheduler in a FaultPlanScheduler (plus
+  /// SimRegisterFaults when the plan carries word-fault rates), keyed by
+  /// the plan's own seed so every run sees the same fault stream.
+  /// Borrowed; must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
   /// SIMD width for the SoA kernels: 0 picks the widest compiled width the
   /// CPU supports (downgradable via $CIL_SIMD_WIDTH); 1/2/4 force that
@@ -129,6 +161,7 @@ struct LaneRunView {
   std::int64_t steps_p1 = 0;
   std::int64_t recoveries = 0;
   int max_register_bits = 0;
+  std::int64_t probe = 0;  ///< LaneRunOptions::probe's value; 0 without one
   bool all_decided = false;
   Value decision = kNoValue;        ///< first decided pid's value
   const Value* decisions = nullptr; ///< per process, kNoValue if undecided
@@ -150,12 +183,12 @@ class LaneEngine {
   ~LaneEngine();
 
   /// True iff (protocol, options) take the SoA lockstep kernel; false means
-  /// run() still works, through the per-lane scalar fallback.
+  /// run() still works, through the per-seed path.
   bool soa_supported(const LaneRunOptions& options) const;
 
   /// The SIMD width the SoA kernels will run at under `options` — after the
   /// simd_width/$CIL_SIMD_WIDTH override and the runtime CPU clamp — or 1
-  /// when the configuration takes the scalar path (scalar math IS the
+  /// when the configuration takes the per-seed path (scalar math IS the
   /// width-1 kernel). What BatchSummary::simd_width reports.
   int selected_simd_width(const LaneRunOptions& options) const;
 

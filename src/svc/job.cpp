@@ -11,9 +11,7 @@
 #include "core/unbounded.h"
 #include "fabric/summary.h"
 #include "obs/export.h"
-#include "sched/adversary.h"
 #include "sched/batch.h"
-#include "sched/schedulers.h"
 #include "search/artifact.h"
 #include "search/evaluate.h"
 #include "search/optimize.h"
@@ -55,42 +53,31 @@ std::vector<Value> default_inputs(int n) {
   return inputs;
 }
 
-SchedulerFactory make_factory(const std::string& adversary) {
-  if (adversary == "random") {
-    return [] {
-      auto s = std::make_shared<RandomScheduler>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed ^ 0x1234);
-        return *s;
-      };
-    };
-  }
-  CIL_CHECK_MSG(adversary == "avoid", "unknown adversary '" + adversary + "'");
-  return [] {
-    auto s = std::make_shared<DecisionAvoidingAdversary>(0);
-    return [s](std::uint64_t seed) -> Scheduler& {
-      s->reseed(seed + 17);
-      return *s;
-    };
-  };
-}
-
 void check_cancel(const std::atomic<bool>& cancel) {
   if (cancel.load(std::memory_order_relaxed)) throw JobCancelled();
 }
 
-/// Arm a sweep's BatchOptions with the server's engine knobs. The lane
-/// spec re-derives the exact scheduler seeding make_factory uses, so the
-/// lane engine's scalar fallback — and its SoA kernel, by the golden pin —
-/// produce byte-identical summaries to the scalar engine.
-void apply_engine(BatchOptions& bo, const JobLimits& limits,
-                  const std::string& adversary) {
-  if (limits.sweep_engine != BatchEngine::kLane) return;
-  bo.engine = BatchEngine::kLane;
-  bo.lanes = limits.sweep_lanes;
-  bo.lane_sched = adversary == "random"
-                      ? LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0}
-                      : LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
+/// The BatchOptions for one seed range of a sweep spec, shared by plain
+/// and fleet sweeps so their shards are the same arithmetic. The adversary
+/// maps to the same scheduler seeding tools/sweep uses, so service
+/// artifacts verify against sweep artifacts.
+BatchOptions sweep_options(const JobSpec& spec, const SeedRange& range,
+                           const std::atomic<bool>& cancel) {
+  BatchOptions bo;
+  bo.first_seed = range.first_seed;
+  bo.num_runs = range.num_runs;
+  bo.threads = spec.threads;
+  bo.max_total_steps = spec.steps;
+  bo.check_every = spec.check_every;
+  bo.cancel = &cancel;
+  if (spec.adversary == "random") {
+    bo.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  } else {
+    CIL_CHECK_MSG(spec.adversary == "avoid",
+                  "unknown adversary '" + spec.adversary + "'");
+    bo.lane_sched = {LaneSchedSpec::Kind::kAvoid, 0, 17};
+  }
+  return bo;
 }
 
 /// The chaos-soak kill switch (JobLimits::chaos_kill_prob): a per-seed
@@ -116,7 +103,6 @@ void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
   const auto protocol = make_protocol(spec.protocol, spec.n, "");
   const std::vector<Value> inputs =
       default_inputs(protocol->num_processes());
-  const SchedulerFactory factory = make_factory(spec.adversary);
 
   const std::int64_t chunk_size =
       spec.chunk > 0 ? spec.chunk
@@ -131,17 +117,10 @@ void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
   std::int64_t done = 0, decided = 0, total_steps = 0;
   for (const SeedRange& range : chunks) {
     check_cancel(cancel);
-    BatchOptions bo;
-    bo.first_seed = range.first_seed;
-    bo.num_runs = range.num_runs;
-    bo.threads = spec.threads;
-    bo.max_total_steps = spec.steps;
-    bo.check_every = spec.check_every;
-    bo.cancel = &cancel;
-    apply_engine(bo, limits, spec.adversary);
     BatchSummary summary;
     try {
-      summary = runner.run(bo, factory, nullptr, chaos);
+      summary = runner.run(sweep_options(spec, range, cancel), nullptr,
+                           nullptr, chaos);
     } catch (const BatchCancelled&) {
       throw JobCancelled();
     }
@@ -279,23 +258,12 @@ void run_job(const JobSpec& spec, const std::atomic<bool>& cancel,
 
 fabric::ShardSummary run_sweep_shard(const JobSpec& spec,
                                      const SeedRange& range,
-                                     const std::atomic<bool>& cancel,
-                                     const JobLimits& limits) {
+                                     const std::atomic<bool>& cancel) {
   const auto protocol = make_protocol(spec.protocol, spec.n, "");
   const std::vector<Value> inputs = default_inputs(protocol->num_processes());
-  const SchedulerFactory factory = make_factory(spec.adversary);
-
   BatchRunner runner(*protocol, inputs);
-  BatchOptions bo;
-  bo.first_seed = range.first_seed;
-  bo.num_runs = range.num_runs;
-  bo.threads = spec.threads;
-  bo.max_total_steps = spec.steps;
-  bo.check_every = spec.check_every;
-  bo.cancel = &cancel;
-  apply_engine(bo, limits, spec.adversary);
   try {
-    return {range, runner.run(bo, factory)};
+    return {range, runner.run(sweep_options(spec, range, cancel), nullptr)};
   } catch (const BatchCancelled&) {
     throw JobCancelled();
   }

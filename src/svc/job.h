@@ -58,13 +58,6 @@ struct JobLimits {
   // test-only code in the data path.
   double chaos_kill_prob = 0.0;
   std::uint64_t chaos_kill_seed = 1;
-
-  // Batch engine for sweeps: kLane advances W seeds in lockstep per worker
-  // (sched/lane_engine.h). Summaries are bit-identical either way, so this
-  // is a server-side knob — no JobSpec schema change, and fleet merges stay
-  // exact across daemons running different engines.
-  BatchEngine sweep_engine = BatchEngine::kScalar;
-  int sweep_lanes = 8;
 };
 
 /// Delivers one frame — or a batch of complete frames concatenated into one
@@ -100,11 +93,9 @@ void run_job(const JobSpec& spec, const std::atomic<bool>& cancel,
 /// it degrades (dead peers, exhausted retries). Identical math to the
 /// chunks of a plain run_job sweep, so a fleet merge stays bit-identical
 /// to the serial run. Never chaos-kills (local execution is the
-/// reliability floor); of `limits` only the engine knobs apply. Throws
-/// JobCancelled on cancellation.
+/// reliability floor). Throws JobCancelled on cancellation.
 fabric::ShardSummary run_sweep_shard(const JobSpec& spec,
                                      const SeedRange& range,
-                                     const std::atomic<bool>& cancel,
-                                     const JobLimits& limits = {});
+                                     const std::atomic<bool>& cancel);
 
 }  // namespace cil::svc

@@ -54,6 +54,11 @@ inline constexpr int kMaxCompiledWidth = 1;
 template <int N>
 struct u64x;  // only N = 1, and (with vector extensions) 2 and 4, exist
 
+// Every u64x operation is force-inlined. The width-4 kernels are compiled
+// for AVX2 while these helpers are compiled for the baseline ISA; an
+// out-of-line call between the two passes a 32-byte vector by value across
+// an ABI boundary, which breaks (SIGSEGV) in unoptimized builds. Inlined,
+// each operation is compiled as part of its caller, for its caller's ISA.
 #if !defined(CIL_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
 #define CIL_SIMD_DEFINE_U64X(N, BYTES)                                     \
   template <>                                                              \
@@ -61,26 +66,44 @@ struct u64x;  // only N = 1, and (with vector extensions) 2 and 4, exist
     typedef std::uint64_t V __attribute__((vector_size(BYTES)));           \
     V v;                                                                   \
                                                                            \
-    static u64x load(const std::uint64_t* p) {                             \
+    [[gnu::always_inline]] static u64x load(const std::uint64_t* p) {      \
       u64x r;                                                              \
       std::memcpy(&r.v, p, sizeof(r.v));                                   \
       return r;                                                            \
     }                                                                      \
-    void store(std::uint64_t* p) const { std::memcpy(p, &v, sizeof(v)); }  \
-    static u64x splat(std::uint64_t x) {                                   \
+    [[gnu::always_inline]] void store(std::uint64_t* p) const {            \
+      std::memcpy(p, &v, sizeof(v));                                       \
+    }                                                                      \
+    [[gnu::always_inline]] static u64x splat(std::uint64_t x) {            \
       u64x r;                                                              \
       r.v = V{} + x;                                                       \
       return r;                                                            \
     }                                                                      \
-    std::uint64_t lane(int i) const { return v[i]; }                       \
+    [[gnu::always_inline]] std::uint64_t lane(int i) const {               \
+      return v[i];                                                         \
+    }                                                                      \
                                                                            \
-    friend u64x operator+(u64x a, u64x b) { return {a.v + b.v}; }          \
-    friend u64x operator^(u64x a, u64x b) { return {a.v ^ b.v}; }          \
-    friend u64x operator&(u64x a, u64x b) { return {a.v & b.v}; }          \
-    friend u64x operator|(u64x a, u64x b) { return {a.v | b.v}; }          \
-    friend u64x operator~(u64x a) { return {~a.v}; }                       \
-    friend u64x operator<<(u64x a, int k) { return {a.v << k}; }           \
-    friend u64x operator>>(u64x a, int k) { return {a.v >> k}; }           \
+    [[gnu::always_inline]] friend u64x operator+(u64x a, u64x b) {         \
+      return {a.v + b.v};                                                  \
+    }                                                                      \
+    [[gnu::always_inline]] friend u64x operator^(u64x a, u64x b) {         \
+      return {a.v ^ b.v};                                                  \
+    }                                                                      \
+    [[gnu::always_inline]] friend u64x operator&(u64x a, u64x b) {         \
+      return {a.v & b.v};                                                  \
+    }                                                                      \
+    [[gnu::always_inline]] friend u64x operator|(u64x a, u64x b) {         \
+      return {a.v | b.v};                                                  \
+    }                                                                      \
+    [[gnu::always_inline]] friend u64x operator~(u64x a) {                 \
+      return {~a.v};                                                       \
+    }                                                                      \
+    [[gnu::always_inline]] friend u64x operator<<(u64x a, int k) {         \
+      return {a.v << k};                                                   \
+    }                                                                      \
+    [[gnu::always_inline]] friend u64x operator>>(u64x a, int k) {         \
+      return {a.v >> k};                                                   \
+    }                                                                      \
   }
 
 CIL_SIMD_DEFINE_U64X(2, 16);
@@ -92,23 +115,37 @@ template <>
 struct u64x<1> {
   std::uint64_t v;
 
-  static u64x load(const std::uint64_t* p) { return {*p}; }
-  void store(std::uint64_t* p) const { *p = v; }
-  static u64x splat(std::uint64_t x) { return {x}; }
-  std::uint64_t lane(int) const { return v; }
+  [[gnu::always_inline]] static u64x load(const std::uint64_t* p) {
+    return {*p};
+  }
+  [[gnu::always_inline]] void store(std::uint64_t* p) const { *p = v; }
+  [[gnu::always_inline]] static u64x splat(std::uint64_t x) { return {x}; }
+  [[gnu::always_inline]] std::uint64_t lane(int) const { return v; }
 
-  friend u64x operator+(u64x a, u64x b) { return {a.v + b.v}; }
-  friend u64x operator^(u64x a, u64x b) { return {a.v ^ b.v}; }
-  friend u64x operator&(u64x a, u64x b) { return {a.v & b.v}; }
-  friend u64x operator|(u64x a, u64x b) { return {a.v | b.v}; }
-  friend u64x operator~(u64x a) { return {~a.v}; }
-  friend u64x operator<<(u64x a, int k) { return {a.v << k}; }
-  friend u64x operator>>(u64x a, int k) { return {a.v >> k}; }
+  [[gnu::always_inline]] friend u64x operator+(u64x a, u64x b) {
+    return {a.v + b.v};
+  }
+  [[gnu::always_inline]] friend u64x operator^(u64x a, u64x b) {
+    return {a.v ^ b.v};
+  }
+  [[gnu::always_inline]] friend u64x operator&(u64x a, u64x b) {
+    return {a.v & b.v};
+  }
+  [[gnu::always_inline]] friend u64x operator|(u64x a, u64x b) {
+    return {a.v | b.v};
+  }
+  [[gnu::always_inline]] friend u64x operator~(u64x a) { return {~a.v}; }
+  [[gnu::always_inline]] friend u64x operator<<(u64x a, int k) {
+    return {a.v << k};
+  }
+  [[gnu::always_inline]] friend u64x operator>>(u64x a, int k) {
+    return {a.v >> k};
+  }
 };
 
 /// rotl on every lane (no vector rotate pre-AVX512; two shifts + or).
 template <int N>
-inline u64x<N> rotl(u64x<N> x, int k) {
+[[gnu::always_inline]] inline u64x<N> rotl(u64x<N> x, int k) {
   return (x << k) | (x >> (64 - k));
 }
 

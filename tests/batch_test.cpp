@@ -382,9 +382,12 @@ TEST(BatchRunner, MultiThreadCrashRecoverySmoke) {
   expect_equal_summaries(serial, sharded);
 }
 
-// -- engine=lane: the SoA engine behind the same BatchOptions knob ----------
-// The TSan CI job runs this suite (--gtest_filter='BatchLane.*') at 4
-// threads x 8 lanes to pin the lane workers' data-race freedom.
+// -- the lane engine: every BatchRunner shard runs through one -------------
+// A scheduler factory or a probe sends runs down the engine's per-seed
+// path; a bare lane_sched lets the lockstep kernels take the runs they
+// can. Both must reduce identically. The TSan CI job runs this suite
+// (--gtest_filter='BatchLane.*') at 4 threads x 8 lanes to pin the lane
+// workers' data-race freedom.
 
 SchedulerFactory avoid_factory(std::uint64_t add) {
   return [add] {
@@ -397,8 +400,9 @@ SchedulerFactory avoid_factory(std::uint64_t add) {
 }
 
 TEST(BatchLane, RandomTwoProcessMatchesScalarEngine) {
-  // The SoA kernel path: TwoProcessProtocol under the random spec. Both
-  // engines must reduce to the same BatchSummary, sample for sample.
+  // The SoA kernel path: TwoProcessProtocol under the random spec, against
+  // the per-seed path a factory forces. Same BatchSummary, sample for
+  // sample.
   TwoProcessProtocol protocol;
   BatchRunner batch(protocol, {0, 1});
   BatchOptions opts;
@@ -407,7 +411,6 @@ TEST(BatchLane, RandomTwoProcessMatchesScalarEngine) {
   opts.threads = 2;
   const BatchSummary scalar = batch.run(opts, random_factory(0x1234));
 
-  opts.engine = BatchEngine::kLane;
   opts.lanes = 8;
   opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
   const BatchSummary lane = batch.run(opts, /*make_scheduler=*/nullptr);
@@ -419,8 +422,8 @@ TEST(BatchLane, RandomTwoProcessMatchesScalarEngine) {
 
 TEST(BatchLane, FallbackPathsMatchScalarEngine) {
   // Configurations the SoA kernel cannot serve — a three-process protocol,
-  // and the adaptive adversary — must flow through the lane engine's pooled
-  // scalar fallback and still reduce identically.
+  // and the adaptive adversary — must flow through the lane engine's
+  // per-seed path from the spec and still reduce identically.
   {
     UnboundedProtocol protocol(3);
     BatchRunner batch(protocol, {0, 1, 0});
@@ -429,7 +432,6 @@ TEST(BatchLane, FallbackPathsMatchScalarEngine) {
     opts.num_runs = 200;
     opts.threads = 3;
     const BatchSummary scalar = batch.run(opts, random_factory(0x1234));
-    opts.engine = BatchEngine::kLane;
     opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
     const BatchSummary lane = batch.run(opts, nullptr);
     expect_equal_summaries(scalar, lane);
@@ -442,7 +444,6 @@ TEST(BatchLane, FallbackPathsMatchScalarEngine) {
     opts.num_runs = 120;
     opts.threads = 2;
     const BatchSummary scalar = batch.run(opts, avoid_factory(17));
-    opts.engine = BatchEngine::kLane;
     opts.lane_sched = {LaneSchedSpec::Kind::kAvoid, 0, 17};
     const BatchSummary lane = batch.run(opts, nullptr);
     expect_equal_summaries(scalar, lane);
@@ -450,16 +451,15 @@ TEST(BatchLane, FallbackPathsMatchScalarEngine) {
 }
 
 TEST(BatchLane, SummaryIsThreadAndLaneCountInvariant) {
-  // The per-worker reseeding contract, re-verified under engine=lane: one
-  // thread with one lane vs four threads with eight lanes each must produce
-  // the identical BatchSummary — no shard boundary or lane-refill order can
-  // leak into the reduction.
+  // The per-worker reseeding contract, re-verified on the lockstep kernel:
+  // one thread with one lane vs four threads with eight lanes each must
+  // produce the identical BatchSummary — no shard boundary or lane-refill
+  // order can leak into the reduction.
   TwoProcessProtocol protocol;
   BatchRunner batch(protocol, {0, 1});
   BatchOptions opts;
   opts.first_seed = 5;
   opts.num_runs = 400;
-  opts.engine = BatchEngine::kLane;
   opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
 
   opts.threads = 1;
@@ -475,16 +475,15 @@ TEST(BatchLane, SummaryIsThreadAndLaneCountInvariant) {
 }
 
 TEST(BatchLane, RunHookSeesEverySeedExactlyOnce) {
-  // The RunHook contract under engine=lane: harvest order differs from seed
-  // order, but every seed fires exactly once (the fabric keys chaos-kill
-  // injection on this).
+  // The RunHook contract on the lockstep kernel: harvest order differs from
+  // seed order, but every seed fires exactly once (the fabric keys
+  // chaos-kill injection on this).
   TwoProcessProtocol protocol;
   BatchRunner batch(protocol, {0, 1});
   BatchOptions opts;
   opts.first_seed = 100;
   opts.num_runs = 64;
   opts.threads = 2;
-  opts.engine = BatchEngine::kLane;
   opts.lanes = 8;
   opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
 
@@ -503,10 +502,10 @@ TEST(BatchLane, RunHookSeesEverySeedExactlyOnce) {
 }
 
 TEST(BatchLane, FaultSweepBitIdentity) {
-  // A shared crash/recovery plan served by BOTH engines: the scalar workers
-  // wrap their schedulers in FaultPlanScheduler per seed, the lane workers
-  // run the SoA fault kernel with per-lane cursors — and the summaries must
-  // be bit-identical. 4 threads x 8 lanes so the TSan CI arm pins the fault
+  // A shared crash/recovery plan on both paths: the per-seed path wraps the
+  // factory's scheduler in a FaultPlanScheduler per seed, the lockstep
+  // kernel runs per-lane fault cursors — and the summaries must be
+  // bit-identical. 4 threads x 8 lanes so the TSan CI arm pins the fault
   // cursors' data-race freedom too.
   fault::FaultPlan plan;
   plan.crashes.push_back({0, 2});
@@ -521,7 +520,6 @@ TEST(BatchLane, FaultSweepBitIdentity) {
   opts.fault_plan = &plan;
   const BatchSummary scalar = batch.run(opts, random_factory(0x1234));
 
-  opts.engine = BatchEngine::kLane;
   opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
   opts.threads = 4;
   opts.lanes = 8;
@@ -538,29 +536,64 @@ TEST(BatchLane, FaultSweepBitIdentity) {
   expect_equal_summaries(lane, batch.run(opts, nullptr));
 }
 
-TEST(BatchLane, ProbeDowngradesToScalarWithNote) {
-  // The lane engine exposes no per-run Simulation, so a probed sweep under
-  // engine=lane must degrade gracefully: scalar results, a note saying so,
-  // simd_width back at 1 — not a crash, and not silently dropped probes.
+TEST(BatchLane, ProbedSweepMatchesFreshSimulations) {
+  // A probe takes the per-seed path, which hands it the pooled Simulation
+  // right after each run: every probe value (and every run) must equal
+  // what a freshly built Simulation of the same seed yields. Three threads
+  // and a three-process protocol, so the probe sees real register state
+  // across shard boundaries.
+  UnboundedProtocol protocol(3);
+  BatchRunner batch(protocol, {0, 1, 0});
+  BatchOptions opts;
+  opts.first_seed = 0;
+  opts.num_runs = 150;
+  opts.threads = 3;
+  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  const RunProbe probe = [](const Simulation& sim, const SimResult& r) {
+    std::int64_t m = 0;
+    for (RegisterId reg = 0; reg < 3; ++reg)
+      m = std::max(m, UnboundedProtocol::unpack_num(sim.regs().peek(reg)));
+    return 1000 * m + r.total_steps;
+  };
+  const BatchSummary b = batch.run(opts, nullptr, probe);
+
+  ASSERT_EQ(b.probe.count(), 150);
+  EXPECT_EQ(b.simd_width, 1);  // probed runs never reach the vector kernels
+  for (std::uint64_t seed = 0; seed < 150; ++seed) {
+    SimOptions so;
+    so.seed = seed;
+    Simulation sim(protocol, {0, 1, 0}, so);
+    RandomScheduler sched(seed ^ 0x1234);
+    const SimResult r = sim.run(sched);
+    const auto i = static_cast<std::size_t>(seed);
+    ASSERT_EQ(b.probe.samples()[i], probe(sim, r)) << "seed " << seed;
+    ASSERT_EQ(b.steps.samples()[i], r.total_steps) << "seed " << seed;
+  }
+}
+
+TEST(BatchLane, SuppliedFactoryDecidesTheSchedule) {
+  // A factory is never second-guessed by lane_sched: default BatchOptions
+  // carry the {kRandom, 0x1234} spec, yet a salt-0xbeef factory must yield
+  // the salt-0xbeef runs, seed for seed.
   TwoProcessProtocol protocol;
   BatchRunner batch(protocol, {0, 1});
   BatchOptions opts;
   opts.first_seed = 0;
-  opts.num_runs = 120;
+  opts.num_runs = 200;
   opts.threads = 2;
-  const RunProbe probe = [](const Simulation&, const SimResult& r) {
-    return r.total_steps;
-  };
-  const BatchSummary scalar = batch.run(opts, random_factory(0x1234), probe);
+  const BatchSummary b = batch.run(opts, random_factory(0xbeef));
 
-  opts.engine = BatchEngine::kLane;
-  opts.lanes = 8;
-  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
-  const BatchSummary lane = batch.run(opts, random_factory(0x1234), probe);
-
-  EXPECT_FALSE(lane.note.empty());
-  EXPECT_EQ(lane.simd_width, 1);
-  expect_equal_summaries(scalar, lane);
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    SimOptions so;
+    so.seed = seed;
+    Simulation sim(protocol, {0, 1}, so);
+    RandomScheduler sched(seed ^ 0xbeef);
+    const SimResult r = sim.run(sched);
+    const auto i = static_cast<std::size_t>(seed);
+    ASSERT_EQ(b.steps.samples()[i], r.total_steps) << "seed " << seed;
+    ASSERT_EQ(b.steps_p0.samples()[i], r.steps_per_process[0]);
+    ASSERT_EQ(b.steps_p1.samples()[i], r.steps_per_process[1]);
+  }
 }
 
 TEST(BatchLane, ReportsSimdWidth) {
@@ -569,21 +602,21 @@ TEST(BatchLane, ReportsSimdWidth) {
   BatchOptions opts;
   opts.first_seed = 0;
   opts.num_runs = 32;
+  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
 
-  // engine=scalar never touches the vector kernels.
+  // A factory's runs take the per-seed path: no vector kernel runs.
   EXPECT_EQ(batch.run(opts, random_factory(0x1234)).simd_width, 1);
 
-  // The SoA path reports the host's active width; an explicit narrower
-  // request is honored and reported back.
-  opts.engine = BatchEngine::kLane;
-  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  // The SoA path reports the host's active width.
   EXPECT_EQ(batch.run(opts, nullptr).simd_width, simd::active_width());
-  opts.simd_width = 1;
-  EXPECT_EQ(batch.run(opts, nullptr).simd_width, 1);
-  opts.simd_width = 0;
 
-  // A lane configuration served by the pooled scalar fallback (adaptive
-  // adversary) reports width 1: no vector kernel ran.
+  // The kScalar test hook forces the same spec onto the per-seed path.
+  opts.engine = BatchEngine::kScalar;
+  EXPECT_EQ(batch.run(opts, nullptr).simd_width, 1);
+  opts.engine = BatchEngine::kLane;
+
+  // A configuration served by the per-seed path (adaptive adversary)
+  // reports width 1: no vector kernel ran.
   opts.lane_sched = {LaneSchedSpec::Kind::kAvoid, 0, 17};
   EXPECT_EQ(batch.run(opts, nullptr).simd_width, 1);
 }

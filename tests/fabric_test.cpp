@@ -11,11 +11,14 @@
 //   * CheckpointStore: fresh open, commit, resume, orphan adoption, config
 //     mismatch rejection, and crash-atomic writes.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,6 +277,45 @@ TEST(AtomicWrite, WritesContentAndReplacesExistingFiles) {
     ++files;
   }
   EXPECT_EQ(files, 1);
+}
+
+TEST(AtomicWrite, ConcurrentWritersToOnePathAllSucceed) {
+  // Threads of one process racing on one destination (e.g. two
+  // CheckpointStores rewriting a manifest): every write must land whole,
+  // and the file must end as exactly one writer's complete content.
+  const std::string dir = temp_dir("atomic_write_race");
+  std::filesystem::create_directories(dir);
+  const std::string path = dir + "/manifest.json";
+  constexpr int kThreads = 4;
+  constexpr int kWrites = 10;
+  const auto content_of = [](int t) {
+    return "{\"writer\":" + std::to_string(t) + ",\"pad\":\"" +
+           std::string(static_cast<std::size_t>(1000 + 300 * t), 'x') +
+           "\"}\n";
+  };
+  std::atomic<int> failures{0};
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int i = 0; i < kWrites; ++i)
+        if (!obs::write_text_file_atomic(path, content_of(t))) ++failures;
+    });
+  }
+  for (auto& th : pool) th.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  std::ifstream is(path);
+  const std::string content((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+  bool matches_one = false;
+  for (int t = 0; t < kThreads; ++t) matches_one |= content == content_of(t);
+  EXPECT_TRUE(matches_one) << content.size() << " bytes";
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++files;
+  }
+  EXPECT_EQ(files, 1);  // no temp litter
 }
 
 TEST(AtomicWrite, FailsCleanlyOnMissingDirectory) {

@@ -23,6 +23,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -370,12 +371,13 @@ bool converged(const std::vector<std::unique_ptr<Node>>& nodes) {
 TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
   const std::vector<int> ports = pick_ports(3);
   const auto roster = roster_for(ports);
-  const std::string log0 = temp_path("fleet_elect0.jsonl");
+  std::vector<std::string> logs;
 
   std::vector<std::unique_ptr<Node>> nodes;
   for (int i = 0; i < 3; ++i) {
     FleetOptions f = fast_fleet(i, roster);
-    if (i == 0) f.election_log = log0;
+    logs.push_back(temp_path("fleet_elect" + std::to_string(i) + ".jsonl"));
+    f.election_log = logs.back();
     nodes.push_back(std::make_unique<Node>(ports[static_cast<std::size_t>(i)],
                                            std::move(f)));
   }
@@ -388,27 +390,33 @@ TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
   // Every daemon ran at least one election.
   for (const auto& n : nodes) EXPECT_GE(n->fleet->elections_run(), 1);
 
-  nodes.clear();  // stops node 0 and flushes its sink
+  nodes.clear();  // stops every node and flushes its sink
 
-  // The transcript is line-framed JSON with the obs event schema; the
-  // round opens with a phase event and the decision names the leader.
-  std::ifstream in(log0);
-  ASSERT_TRUE(in.is_open());
-  std::string line;
-  int lines = 0, decisions = 0;
-  std::string first_ev;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    const Json doc = Json::parse(line);  // throws on a torn line
-    ASSERT_TRUE(doc.is_object());
-    const std::string ev = doc.at("ev").as_string();
-    if (lines == 0) first_ev = ev;
-    if (ev == "decision") ++decisions;
-    ++lines;
+  // Each transcript is line-framed JSON with the obs event schema, and node
+  // 0's opens with its round's phase event. A daemon may adopt the leader
+  // from a peer's announcement before its own automaton decides, and stop
+  // before it does; but every announced leader comes from some automaton's
+  // decision, logged after the writes and reads of its round.
+  int deciding_lines = 0;  // longest transcript holding a decision
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    std::ifstream in(logs[i]);
+    ASSERT_TRUE(in.is_open()) << logs[i];
+    std::string line;
+    int lines = 0, decisions = 0;
+    std::string first_ev;
+    while (std::getline(in, line)) {
+      if (line.empty()) continue;
+      const Json doc = Json::parse(line);  // throws on a torn line
+      ASSERT_TRUE(doc.is_object());
+      const std::string ev = doc.at("ev").as_string();
+      if (lines == 0) first_ev = ev;
+      if (ev == "decision") ++decisions;
+      ++lines;
+    }
+    if (i == 0) EXPECT_EQ(first_ev, "phase");
+    if (decisions > 0) deciding_lines = std::max(deciding_lines, lines);
   }
-  EXPECT_GT(lines, 3);
-  EXPECT_EQ(first_ev, "phase");
-  EXPECT_GE(decisions, 1);
+  EXPECT_GT(deciding_lines, 3);
 }
 
 TEST(FleetService, KillingTheLeaderTriggersReelectionAmongSurvivors) {

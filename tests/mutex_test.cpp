@@ -30,6 +30,36 @@ TEST(ConsensusArena, AllCallersGetTheSameWinner) {
   }
 }
 
+TEST(ConsensusArena, ThreadsReleasedTogetherNeverDisagree) {
+  // Two threads write their own register and then read the other's, at
+  // the same instant. The paper's registers are atomic, so at least one
+  // of them must see the other's write. Acquire/release atomics do not
+  // promise that: a store may wait in the CPU's store buffer while the
+  // next load runs, both threads then read the initial value, and each
+  // decides its own input. Thousands of simultaneous starts make that
+  // window show up.
+  constexpr int kTrials = 10000;
+  int disagreements = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    rt::ConsensusArena arena(2, /*max_value=*/1,
+                             static_cast<std::uint64_t>(t) + 1);
+    Value results[2] = {kNoValue, kNoValue};
+    std::atomic<int> arrived{0};
+    {
+      std::vector<std::jthread> threads;
+      for (ProcessId p = 0; p < 2; ++p) {
+        threads.emplace_back([&, p] {
+          arrived.fetch_add(1);
+          while (arrived.load() < 2) std::this_thread::yield();
+          results[p] = arena.decide(p, p);
+        });
+      }
+    }
+    if (results[0] != results[1]) ++disagreements;
+  }
+  EXPECT_EQ(disagreements, 0) << "of " << kTrials << " trials";
+}
+
 TEST(ConsensusArena, SoloCallerDecidesOwnValue) {
   rt::ConsensusArena arena(3, 10, 1);
   EXPECT_EQ(arena.decide(1, 9), 9);  // wait-free: no one else ever shows up

@@ -166,7 +166,9 @@ TEST(Supervisor, HungWorkerIsKilledAtTheTimeoutAndRetried) {
   CheckpointStore store(temp_dir("sup_hang"));
   (void)store.open(test_config(12, 6));
   SupervisorOptions options = fast_options();
-  options.shard_timeout_seconds = 0.2;
+  // Far below the 30 s hang, yet roomy enough that a healthy attempt's
+  // fsync'd shard write on a loaded machine is not mistaken for a hang.
+  options.shard_timeout_seconds = 3.0;
   const ShardWorker worker = [&](const ShardTask& task, int attempt) {
     if (task.index == 0 && attempt == 0)
       std::this_thread::sleep_for(std::chrono::seconds(30));  // hang

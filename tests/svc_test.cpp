@@ -28,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/two_process.h"
 #include "core/unbounded.h"
 #include "fabric/summary.h"
 #include "obs/json.h"
@@ -142,13 +143,14 @@ class Client {
 
 std::string sweep_request(const std::string& id, std::uint64_t first_seed,
                           std::int64_t seeds, std::int64_t steps,
-                          std::int64_t chunk, int threads = 1) {
+                          std::int64_t chunk, int threads = 1,
+                          const std::string& protocol = "unbounded") {
   Json j = Json::object();
   j["job"] = Json("cilcoord.job.v1");
   j["kind"] = Json("sweep");
   j["id"] = Json(id);
-  j["protocol"] = Json("unbounded");
-  j["n"] = Json(3.0);
+  j["protocol"] = Json(protocol);
+  j["n"] = Json(protocol == "two" ? 2.0 : 3.0);
   j["adversary"] = Json("random");
   j["first_seed"] = Json(std::to_string(first_seed));
   j["seeds"] = Json(static_cast<double>(seeds));
@@ -229,6 +231,45 @@ TEST(SvcTest, SweepBitIdentity) {
   remote_doc["wall"] = Json::object();
   local_doc["wall"] = Json::object();
   EXPECT_EQ(remote_doc.dump(), local_doc.dump());
+}
+
+// Figure 1 under random scheduling takes the lane engine's bitsliced
+// kernel in the service; the streamed summary must still equal the
+// in-process per-seed reference (a factory keeps BatchRunner on the
+// pooled-Simulation path) down to the last sample.
+TEST(SvcTest, LaneKernelSweepMatchesPerSeedReference) {
+  TestServer server;
+  Client c(server.port());
+  c.expect_hello();
+
+  constexpr std::uint64_t kFirstSeed = 9;
+  constexpr std::int64_t kSeeds = 300;
+  constexpr std::int64_t kSteps = 20'000;
+  c.send_line(sweep_request("lane", kFirstSeed, kSeeds, kSteps, /*chunk=*/64,
+                            /*threads=*/2, "two"));
+  const Json result = c.read_until("result");
+  const fabric::ShardSummary streamed =
+      fabric::shard_summary_from_json(result.at("summary"));
+  c.read_until("done");
+
+  TwoProcessProtocol protocol;
+  BatchRunner runner(protocol, {Value(0), Value(1)});
+  BatchOptions bo;
+  bo.first_seed = kFirstSeed;
+  bo.num_runs = kSeeds;
+  bo.max_total_steps = kSteps;
+  const BatchSummary local = runner.run(bo, [] {
+    auto s = std::make_shared<RandomScheduler>(0);
+    return [s](std::uint64_t seed) -> Scheduler& {
+      s->reseed(seed ^ 0x1234);
+      return *s;
+    };
+  });
+  ASSERT_EQ(local.simd_width, 1);  // the reference ran per seed
+
+  EXPECT_EQ(streamed.range.first_seed, kFirstSeed);
+  EXPECT_EQ(streamed.range.num_runs, kSeeds);
+  EXPECT_TRUE(fabric::deterministic_fields_equal(streamed.summary, local));
 }
 
 TEST(SvcTest, PipelinedJobsRunInOrder) {

@@ -14,6 +14,10 @@
 // racing the listen. SIGINT/SIGTERM stop the loop cleanly: in-flight jobs
 // are cancelled, workers joined, a final stats line printed.
 //
+// Sweep jobs run through BatchRunner's lane engine, which takes its
+// lockstep kernel whenever the sweep allows it. No flag picks a kernel:
+// none can change a result.
+//
 // Fleet mode (src/fleet/fleet.h): --fleet-id=K --peers=host:port,host:port,...
 // makes this daemon member K of an n-daemon fleet. The roster order must be
 // identical on every member. The daemon then answers cilcoord.peer.v1
@@ -83,7 +87,6 @@ int usage() {
       "              [--workers=N] [--max-sessions=N] [--chunk=N]\n"
       "              [--max-write-buffer=BYTES] [--max-line-bytes=BYTES]\n"
       "              [--stats-file=PATH] [--pid-file=PATH]\n"
-      "              [--engine=scalar|lane] [--lanes=W]\n"
       "              [--idle-timeout-s=SECS] [--verbose]\n"
       "  fleet:      [--fleet-id=K --peers=HOST:PORT,HOST:PORT,...]\n"
       "              [--election-log=PATH] [--fleet-checkpoint=DIR]\n"
@@ -162,9 +165,6 @@ int main(int argc, char** argv) {
   if (flags.take_int("max-line-bytes", max_line_bytes) && max_line_bytes > 0)
     options.max_line_bytes = static_cast<std::size_t>(max_line_bytes);
   flags.take_int("chunk", options.job_limits.default_chunk);
-  std::string engine = "scalar";
-  flags.take_string("engine", engine);
-  flags.take_int("lanes", options.job_limits.sweep_lanes);
   flags.take_double("idle-timeout-s", options.idle_timeout_seconds);
   flags.take_double("chaos-kill-prob", options.job_limits.chaos_kill_prob);
   flags.take_uint64("chaos-kill-seed", options.job_limits.chaos_kill_seed);
@@ -199,13 +199,6 @@ int main(int argc, char** argv) {
   if (options.job_limits.chaos_kill_prob < 0.0 ||
       options.job_limits.chaos_kill_prob > 1.0)
     return usage();
-  if (engine == "lane") {
-    options.job_limits.sweep_engine = cil::BatchEngine::kLane;
-  } else if (engine != "scalar") {
-    std::fprintf(stderr, "coordd: unknown engine '%s'\n", engine.c_str());
-    return usage();
-  }
-  if (options.job_limits.sweep_lanes < 1) return usage();
 
   raise_fd_limit();
 

@@ -22,18 +22,9 @@
 // Flags:
 //   --protocol=two|unbounded|bounded   --n=<procs>   (unbounded only)
 //   --adversary=random|avoid
-//   --engine=scalar|lane    per-worker execution engine (default scalar);
-//                           lane runs --lanes seeds in lockstep per thread
-//                           (sched/lane_engine) — summaries and artifacts
-//                           are bit-identical either way, so
-//                           --verify-against works across engines
-//   --lanes=<W>             (default 8; engine=lane only)
 //   --fault-plan=SPEC       apply a shared fault schedule to every run
 //                           (FaultPlan::serialize form, e.g.
-//                           "fp1;seed=1;crash=0@2;recover=0@8"). Defaults the
-//                           engine to lane — representable crash/recovery
-//                           plans run in the SoA lanes; everything else
-//                           falls back to scalar-identical math. Part of
+//                           "fp1;seed=1;crash=0@2;recover=0@8"). Part of
 //                           the checkpoint identity: resuming a directory
 //                           under a different plan is refused.
 //   --seeds=<count>         (default 200)     --first-seed=<s> (default 1)
@@ -52,6 +43,11 @@
 //   --serial                run in-process, no fork/checkpoint required
 //   --verify-against=FILE   compare this run's summary with an artifact
 //   --verbose
+//
+// Every shard runs through BatchRunner's lane engine. Figure 1 under random
+// scheduling takes its lockstep kernels (bitsliced when fault-free, the
+// column kernel under a representable crash/recovery plan); everything
+// else takes its per-seed path. Summaries are bit-identical either way.
 //
 // Exit codes: 0 complete (and verified, when asked); 1 verification
 // mismatch; 2 usage/config error; 3 sweep incomplete (budget exhausted).
@@ -74,10 +70,8 @@
 #include "fabric/supervisor.h"
 #include "fault/fault_plan.h"
 #include "obs/export.h"
-#include "sched/adversary.h"
 #include "sched/batch.h"
 #include "sched/lane_engine.h"
-#include "sched/schedulers.h"
 #include "tools/cli_util.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -90,8 +84,6 @@ struct Args {
   std::string protocol = "unbounded";
   int n = 3;
   std::string adversary = "random";
-  std::string engine = "scalar";
-  int lanes = 8;
   std::string fault_plan;  ///< FaultPlan::serialize form; empty = fault-free
   std::int64_t seeds = 200;
   std::uint64_t first_seed = 1;
@@ -112,13 +104,22 @@ struct Args {
   bool verbose = false;
 };
 
+/// The adversaries a sweep can name, as the lane engine's scheduler specs
+/// (the seed derivations every sweep artifact was made with); nullopt for
+/// an unknown name.
+std::optional<LaneSchedSpec> lane_sched_spec(const std::string& adversary) {
+  if (adversary == "random")
+    return LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  if (adversary == "avoid")
+    return LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
+  return std::nullopt;
+}
+
 bool parse(int argc, char** argv, Args& args) {
   cli::FlagSet flags(argc, argv);
   flags.take_string("protocol", args.protocol);
   flags.take_int("n", args.n);
   flags.take_string("adversary", args.adversary);
-  const bool engine_given = flags.take_string("engine", args.engine);
-  flags.take_int("lanes", args.lanes);
   flags.take_string("fault-plan", args.fault_plan);
   flags.take_int("seeds", args.seeds);
   flags.take_uint64("first-seed", args.first_seed);
@@ -140,19 +141,15 @@ bool parse(int argc, char** argv, Args& args) {
   if (!flags.finish()) return false;
   if (args.seeds < 1 || args.workers < 1 || args.threads < 0 ||
       args.retries < 0 || args.shard_size < 0 || args.chaos_kill_prob < 0.0 ||
-      args.chaos_kill_prob > 1.0 || args.lanes < 1) {
+      args.chaos_kill_prob > 1.0) {
     std::fprintf(stderr, "sweep: flag value out of range\n");
     return false;
   }
-  if (args.engine != "scalar" && args.engine != "lane") {
-    std::fprintf(stderr, "sweep: unknown engine %s\n", args.engine.c_str());
+  if (!lane_sched_spec(args.adversary)) {
+    std::fprintf(stderr, "sweep: unknown adversary %s\n",
+                 args.adversary.c_str());
     return false;
   }
-  // Fault sweeps default onto the lane engine (the point of PR 10): the
-  // lanes carry representable crash/recovery plans natively and fall back
-  // to scalar-identical math for the rest. --engine=scalar still forces
-  // the historical path.
-  if (!args.fault_plan.empty() && !engine_given) args.engine = "lane";
   if (args.out.empty()) args.out = args.checkpoint + "/summary.json";
   return true;
 }
@@ -172,28 +169,6 @@ std::unique_ptr<Protocol> make_protocol(const Args& args) {
     return std::make_unique<UnboundedProtocol>(args.n, 1);
   if (args.protocol == "bounded")
     return std::make_unique<BoundedThreeProtocol>();
-  return nullptr;
-}
-
-SchedulerFactory make_factory(const Args& args) {
-  if (args.adversary == "random") {
-    return [] {
-      auto s = std::make_shared<RandomScheduler>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed ^ 0x1234);
-        return *s;
-      };
-    };
-  }
-  if (args.adversary == "avoid") {
-    return [] {
-      auto s = std::make_shared<DecisionAvoidingAdversary>(0);
-      return [s](std::uint64_t seed) -> Scheduler& {
-        s->reseed(seed + 17);
-        return *s;
-      };
-    };
-  }
   return nullptr;
 }
 
@@ -226,12 +201,6 @@ std::vector<Value> sweep_inputs(const Protocol& protocol) {
   return inputs;
 }
 
-LaneSchedSpec lane_sched_spec(const Args& args) {
-  return args.adversary == "random"
-             ? LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0}
-             : LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
-}
-
 BatchSummary run_shard(const Args& args, const Protocol& protocol,
                        const fault::FaultPlan* plan, const SeedRange& range,
                        const RunHook& hook) {
@@ -243,30 +212,18 @@ BatchSummary run_shard(const Args& args, const Protocol& protocol,
   bo.max_total_steps = args.steps;
   bo.check_every = args.check_every;
   bo.fault_plan = plan;
-  if (args.engine == "lane") {
-    // Same seed derivations as make_factory, expressed as a LaneSchedSpec;
-    // the summary stays bit-identical (pinned by batch_test), so lane
-    // artifacts verify cleanly against scalar ones and vice versa.
-    bo.engine = BatchEngine::kLane;
-    bo.lanes = args.lanes;
-    bo.lane_sched = lane_sched_spec(args);
-  }
-  return runner.run(bo, make_factory(args), nullptr, hook);
+  bo.lane_sched = *lane_sched_spec(args.adversary);
+  return runner.run(bo, nullptr, nullptr, hook);
 }
 
 /// The SIMD width this sweep's lane kernels run at on this host — what the
 /// artifact records, so --verify-against can flag a cross-width comparison.
-/// 1 for engine=scalar and for configurations the lane engine serves
-/// through its scalar fallback.
+/// 1 for configurations the lane engine serves on its per-seed path.
 int sweep_simd_width(const Args& args, const Protocol& protocol,
                      const fault::FaultPlan* plan) {
-  if (args.engine != "lane") return 1;
   LaneEngine probe(protocol, sweep_inputs(protocol));
   LaneRunOptions lo;
-  lo.lanes = args.lanes;
-  lo.max_total_steps = args.steps;
-  lo.check_every = args.check_every;
-  lo.sched = lane_sched_spec(args);
+  lo.sched = *lane_sched_spec(args.adversary);
   lo.fault_plan = plan;
   return probe.selected_simd_width(lo);
 }
@@ -396,11 +353,6 @@ int run_serial(const Args& args) {
     std::fprintf(stderr, "sweep: unknown protocol %s\n", args.protocol.c_str());
     return 2;
   }
-  if (make_factory(args) == nullptr) {
-    std::fprintf(stderr, "sweep: unknown adversary %s\n",
-                 args.adversary.c_str());
-    return 2;
-  }
   std::optional<fault::FaultPlan> plan;
   parse_plan(args, *protocol, plan);
   const fault::FaultPlan* plan_ptr = plan ? &*plan : nullptr;
@@ -431,11 +383,6 @@ int run_fleet(const Args& args) {
   const auto protocol = make_protocol(args);
   if (!protocol) {
     std::fprintf(stderr, "sweep: unknown protocol %s\n", args.protocol.c_str());
-    return 2;
-  }
-  if (make_factory(args) == nullptr) {
-    std::fprintf(stderr, "sweep: unknown adversary %s\n",
-                 args.adversary.c_str());
     return 2;
   }
   std::optional<fault::FaultPlan> plan;
