@@ -61,7 +61,7 @@ int main() {
   header("Contrast: randomized Figure 1 under the decision-avoiding adversary");
   {
     TwoProcessProtocol protocol;
-    SampleSet steps;
+    Tally steps;
     int undecided = 0;
     for (std::uint64_t seed = 0; seed < 5000; ++seed) {
       DecisionAvoidingAdversary adversary(seed + 1);

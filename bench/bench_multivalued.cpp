@@ -30,7 +30,7 @@ int main() {
   for (const int bits : {1, 2, 4, 6, 8, 10}) {
     const Value max_value = static_cast<Value>((1 << bits) - 1);
     MultiValuedProtocol protocol(kProcs, max_value);
-    SampleSet steps;
+    Tally steps;
     for (std::uint64_t seed = 0; seed < kRuns; ++seed) {
       // Spread the inputs across the domain so every round has work to do.
       std::vector<Value> inputs;

@@ -95,9 +95,6 @@ int main() {
       };
     });
     whole_sweep.add_steps(rb.total_steps);
-    RunningStats random_steps;
-    for (const std::int64_t s : rb.steps.samples())
-      random_steps.add(static_cast<double>(s));
 
     // The identical random sweep armed by a LaneSchedSpec instead of a
     // factory. The SoA kernel is two-process-only, so every run here takes
@@ -113,7 +110,6 @@ int main() {
 
     // The adaptive adversary scores every active process per pick — O(n)
     // per step on top of the ~n^2.3 steps — so its series stops at 1024.
-    RunningStats adv_steps;
     BatchSummary ab;
     if (n <= 1024) {
       opts.num_runs = static_cast<std::int64_t>(runs_adaptive(n));
@@ -125,16 +121,14 @@ int main() {
         };
       });
       whole_sweep.add_steps(ab.total_steps);
-      for (const std::int64_t s : ab.steps.samples())
-        adv_steps.add(static_cast<double>(s));
     }
 
-    RunningStats split_steps;
+    BatchSummary sb;
     if (n <= 8) {
       // Split-keeping run length explodes super-polynomially (it is designed
       // to stall the system); the series exists to show that, not to scale.
       opts.num_runs = 600;
-      const BatchSummary sb = batch.run(opts, [] {
+      sb = batch.run(opts, [] {
         auto s = std::make_shared<SplitKeepingAdversary>(
             0, &UnboundedProtocol::unpack_pref);
         return [s](std::uint64_t seed) -> Scheduler& {
@@ -143,8 +137,6 @@ int main() {
         };
       });
       whole_sweep.add_steps(sb.total_steps);
-      for (const std::int64_t s : sb.steps.samples())
-        split_steps.add(static_cast<double>(s));
     }
 
     opts.num_runs = static_cast<std::int64_t>(runs_random(n));
@@ -169,24 +161,20 @@ int main() {
       };
     });
     whole_sweep.add_steps(cb.total_steps);
-    RunningStats crash_steps;
-    for (const std::int64_t s : cb.steps.samples())
-      crash_steps.add(static_cast<double>(s));
 
     ns.push_back(std::log(static_cast<double>(n)));
-    steps_random.push_back(std::log(random_steps.mean()));
-    row({fmt_int(n), fmt(random_steps.mean(), 1),
-         n <= 1024 ? fmt(adv_steps.mean(), 1) : "-",
-         n <= 8 ? fmt(split_steps.mean(), 1) : "-",
-         fmt(crash_steps.mean(), 1),
+    steps_random.push_back(std::log(rb.steps.mean()));
+    row({fmt_int(n), fmt(rb.steps.mean(), 1),
+         n <= 1024 ? fmt(ab.steps.mean(), 1) : "-",
+         n <= 8 ? fmt(sb.steps.mean(), 1) : "-",
+         fmt(cb.steps.mean(), 1),
          fmt(static_cast<double>(rb.total_steps) / rb.wall_seconds / 1e6, 2)},
         16);
-    report.set_value("mean_steps.random" + suffix, random_steps.mean());
+    report.set_value("mean_steps.random" + suffix, rb.steps.mean());
     if (n <= 1024)
-      report.set_value("mean_steps.adaptive" + suffix, adv_steps.mean());
-    if (n <= 8)
-      report.set_value("mean_steps.split" + suffix, split_steps.mean());
-    report.set_value("mean_steps.crash" + suffix, crash_steps.mean());
+      report.set_value("mean_steps.adaptive" + suffix, ab.steps.mean());
+    if (n <= 8) report.set_value("mean_steps.split" + suffix, sb.steps.mean());
+    report.set_value("mean_steps.crash" + suffix, cb.steps.mean());
     add_batch_report(report, "random" + suffix, rb);
     if (n <= 1024) add_batch_report(report, "adaptive" + suffix, ab);
   }

@@ -34,7 +34,7 @@ void consensus_latency(const Protocol& protocol,
                        rt::RegisterBackend backend, const char* label,
                        int runs, BenchReport& report, const char* key) {
   RunningStats wall;
-  SampleSet steps;
+  Tally steps;
   for (std::uint64_t seed = 1; seed <= static_cast<std::uint64_t>(runs);
        ++seed) {
     rt::ThreadedOptions options;

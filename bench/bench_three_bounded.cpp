@@ -64,7 +64,7 @@ int main() {
   row({"scheduler", "E[steps]", "p99", "max reg bits", "parked/runs"});
   for (const std::string s :
        {"round-robin", "random", "adaptive", "split-keeping"}) {
-    SampleSet total;
+    Tally total;
     int max_bits = 0;
     int parked = 0;
     for (std::uint64_t seed = 0; seed < kRuns; ++seed) {

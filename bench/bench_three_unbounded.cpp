@@ -80,13 +80,8 @@ int main() {
     opts.threads = bench_threads();
     const BatchSummary b = batch.run(opts, factory, max_num_probe);
 
-    const SampleSet& max_nums = b.probe;
-    // Rebuild the mean through the same RunningStats add-sequence the serial
-    // loop used, so mean_total_steps.* stays bit-identical to baselines.
-    RunningStats total_steps;
-    for (const std::int64_t s : b.steps.samples())
-      total_steps.add(static_cast<double>(s));
-    const std::int64_t max_bits = summarize(b.max_register_bits).max;
+    const Tally& max_nums = b.probe;
+    const std::int64_t max_bits = b.max_register_bits.max();
 
     const std::string label = adversarial ? "split-keeping" : "random";
     std::printf("scheduler: %s\n",
@@ -96,14 +91,14 @@ int main() {
                  return std::pow(0.75, static_cast<double>(k - 1));
                });
     row({"fit ratio", fmt(fit_geometric_tail_ratio(max_nums, 2), 4), ""});
-    row({"E[total steps]", fmt(total_steps.mean(), 2),
+    row({"E[total steps]", fmt(b.steps.mean(), 2),
          "(paper: small constant)"});
     row({"max register bits used", fmt_int(max_bits),
          "(declared 'unbounded': 56)"});
     report.add_samples("max_num." + label, max_nums);
     report.set_value("fit_ratio." + label,
                      fit_geometric_tail_ratio(max_nums, 2));
-    report.set_value("mean_total_steps." + label, total_steps.mean());
+    report.set_value("mean_total_steps." + label, b.steps.mean());
     report.set_value("max_register_bits." + label,
                      static_cast<double>(max_bits));
     add_batch_report(report, label, b);
@@ -136,16 +131,13 @@ int main() {
           return *s;
         };
       });
-      RunningStats steps;
-      for (const std::int64_t s : b.steps.samples())
-        steps.add(static_cast<double>(s));
       report.set_value(use_swsr ? "mean_total_steps.swsr"
                                 : "mean_total_steps.swmr",
-                       steps.mean());
+                       b.steps.mean());
       const auto& protocol = use_swsr ? static_cast<const Protocol&>(swsr)
                                       : static_cast<const Protocol&>(base);
       const auto specs = protocol.registers();
-      row({use_swsr ? "1W1R copies" : "1W2R (Fig 2)", fmt(steps.mean(), 2),
+      row({use_swsr ? "1W1R copies" : "1W2R (Fig 2)", fmt(b.steps.mean(), 2),
            fmt_int(static_cast<std::int64_t>(specs.size())),
            fmt_int(specs[0].width_bits) + "b x " +
                fmt_int(static_cast<std::int64_t>(specs.size()))});

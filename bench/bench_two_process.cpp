@@ -37,8 +37,8 @@ constexpr int kRuns = 20000;
 // the historical serial loop exactly — RandomScheduler(seed ^ 0x1234),
 // DecisionAvoidingAdversary(seed + 17) — via reseed() on a pooled instance,
 // so the steps.* sample metrics are bit-identical to pre-batch baselines.
-SampleSet measure(const TwoProcessProtocol& protocol,
-                  const char* scheduler_name, BenchReport* report = nullptr) {
+Tally measure(const TwoProcessProtocol& protocol, const char* scheduler_name,
+              BenchReport* report = nullptr) {
   const std::string name = scheduler_name;
   SchedulerFactory factory;
   if (name == "round-robin") {
@@ -74,12 +74,9 @@ SampleSet measure(const TwoProcessProtocol& protocol,
   opts.threads = bench_threads();
   const BatchSummary b = batch.run(opts, factory);
 
-  // Interleave p0/p1 per seed, the order the serial loop sampled in.
-  SampleSet steps;
-  for (std::size_t i = 0; i < b.steps_p0.samples().size(); ++i) {
-    steps.add(b.steps_p0.samples()[i]);
-    steps.add(b.steps_p1.samples()[i]);
-  }
+  // Both processors' own-step counts, as the serial loop sampled them.
+  Tally steps = b.steps_p0;
+  steps.merge(b.steps_p1);
   if (report != nullptr) {
     add_batch_report(*report, scheduler_name, b);
     std::printf(
@@ -184,7 +181,7 @@ int main() {
   header("C7: expected steps per processor (paper bound: <= 10)");
   summary_header("scheduler");
   for (const char* s : {"round-robin", "random", "adaptive-adversary"}) {
-    const SampleSet steps = measure(protocol, s, &report);
+    const Tally steps = measure(protocol, s, &report);
     summary_row(s, steps);
     report.add_samples(std::string("steps.") + s, steps);
   }
@@ -196,7 +193,7 @@ int main() {
     // Its sample mean converges to the exact supremum of 10 — the paper's
     // bound is achieved, not just approached.
     OptimalAdversary adversary(protocol, {0, 1}, /*tracked=*/0);
-    SampleSet steps;
+    Tally steps;
     for (std::uint64_t seed = 0; seed < kRuns; ++seed) {
       const auto r = run_once(protocol, {0, 1}, adversary, seed);
       steps.add(r.steps_per_process[0]);
@@ -220,7 +217,7 @@ int main() {
 
   header("T7: decision-time tail — exact worst case vs measured vs bounds");
   {
-    const SampleSet steps = measure(protocol, "adaptive-adversary");
+    const Tally steps = measure(protocol, "adaptive-adversary");
     const auto exact = worst_case_tail(protocol, {0, 1}, 0, 14);
     row({"own steps k+2", "exact sup", "greedy adv", "(3/4)^{k/2}",
          "(1/4)^{k/2}"});

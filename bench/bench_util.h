@@ -47,7 +47,7 @@ inline void summary_header(const std::string& first_col, int width = 14) {
   row({first_col, "mean", "ci95", "p50", "p99", "max"}, width);
 }
 
-inline void summary_row(const std::string& name, const SampleSet& s,
+inline void summary_row(const std::string& name, const Tally& s,
                         int width = 14) {
   const Summary m = summarize(s);
   row({name, fmt(m.mean), fmt(m.ci95), fmt_int(m.p50), fmt_int(m.p99),
@@ -57,7 +57,7 @@ inline void summary_row(const std::string& name, const SampleSet& s,
 
 /// The one code path for survival-vs-bound tables: P[X >= k] next to a
 /// closed-form bound, for each requested k.
-inline void tail_table(const SampleSet& s, const std::vector<std::int64_t>& ks,
+inline void tail_table(const Tally& s, const std::vector<std::int64_t>& ks,
                        const std::string& k_col, const std::string& bound_col,
                        const std::function<double(std::int64_t)>& bound,
                        int width = 14) {
@@ -167,7 +167,7 @@ class BenchReport {
 
   /// A full distribution: its Summary under "samples.<key>" plus a
   /// power-of-two histogram in the registry (the tail-plot source).
-  void add_samples(const std::string& key, const SampleSet& s) {
+  void add_samples(const std::string& key, const Tally& s) {
     const Summary m = summarize(s);
     obs::Json j = obs::Json::object();
     j["count"] = obs::Json(static_cast<double>(m.count));
@@ -180,8 +180,8 @@ class BenchReport {
     j["max"] = obs::Json(static_cast<double>(m.max));
     samples_[key] = std::move(j);
     auto& h = metrics_.histogram("samples." + key);
-    for (const std::int64_t x : s.samples())
-      h.observe(static_cast<double>(x));
+    for (const auto& [value, count] : s.bins())
+      h.observe(static_cast<double>(value), count);
   }
 
   /// Write the report now (idempotent; the destructor calls it). No-op

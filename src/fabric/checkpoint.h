@@ -4,7 +4,7 @@
 //
 //   manifest.json       cilcoord.sweep_manifest.v1 — the sweep's config and
 //                       the sorted list of committed shard indexes
-//   shard_<i>.json      cilcoord.batch_summary.v1 for shard i
+//   shard_<i>.json      cilcoord.batch_summary.v2 for shard i
 //
 // The write protocol is two-phase and idempotent:
 //

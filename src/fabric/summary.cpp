@@ -1,7 +1,9 @@
 #include "fabric/summary.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
+#include <system_error>
 
 #include "util/check.h"
 
@@ -11,28 +13,66 @@ namespace {
 
 using obs::Json;
 
-Json samples_to_json(const SampleSet& s) {
+constexpr const char* kV1ArtifactName = "cilcoord.batch_summary.v1";
+
+Json tally_to_json(const Tally& t) {
   Json arr = Json::array();
-  for (const std::int64_t x : s.samples()) arr.push_back(Json(x));
+  for (const auto& [value, count] : t.bins()) {
+    Json bin = Json::array();
+    bin.push_back(Json(value));
+    bin.push_back(Json(count));
+    arr.push_back(std::move(bin));
+  }
   return arr;
 }
 
-SampleSet samples_from_json(const Json& arr, std::int64_t expect,
-                            const char* name) {
-  SampleSet out;
-  for (const Json& x : arr.as_array()) out.add(x.as_int());
-  CIL_CHECK_MSG(out.count() == expect || out.count() == 0,
-                std::string("batch_summary artifact: sample vector '") + name +
-                    "' length disagrees with num_runs");
+/// Bins must be [value,count] pairs with strictly increasing values and
+/// counts >= 1 summing to `expect` (or, when `may_be_empty`, no bins at all).
+Tally tally_from_json(const Json& arr, std::int64_t expect, bool may_be_empty,
+                      const char* name) {
+  const std::string what = std::string("batch_summary artifact: tally '") +
+                           name + "' ";
+  Tally out;
+  std::int64_t prev = 0;
+  for (const Json& bin : arr.as_array()) {
+    CIL_CHECK_MSG(bin.is_array() && bin.size() == 2,
+                  what + "bin is not a [value,count] pair");
+    const std::int64_t value = bin.at(0).as_int();
+    const std::int64_t count = bin.at(1).as_int();
+    CIL_CHECK_MSG(out.count() == 0 || value > prev,
+                  what + "bin values must strictly increase");
+    // Checked against the remainder, so the running total cannot overflow.
+    CIL_CHECK_MSG(count >= 1 && count <= expect - out.count(),
+                  what + "bin count out of range");
+    out.add(value, count);
+    prev = value;
+  }
+  CIL_CHECK_MSG(out.count() == expect || (may_be_empty && out.count() == 0),
+                what + "counts do not sum to num_runs");
   return out;
 }
 
-std::uint64_t parse_seed_string(const Json& j) {
+/// Canonical decimal only — the string must be std::to_string of a uint64
+/// (no sign, space or leading zero), so each value has exactly one spelling.
+std::uint64_t parse_u64_string(const Json& j, const char* name) {
   const std::string& s = j.as_string();
-  CIL_CHECK_MSG(!s.empty() && s.find_first_not_of("0123456789") ==
-                                  std::string::npos,
-                "batch_summary artifact: first_seed must be a decimal string");
-  return std::stoull(s);
+  std::uint64_t v = 0;
+  const auto result = std::from_chars(s.data(), s.data() + s.size(), v);
+  CIL_CHECK_MSG(result.ec == std::errc() && std::to_string(v) == s,
+                std::string("batch_summary artifact: ") + name +
+                    " must be a canonical decimal string within uint64");
+  return v;
+}
+
+/// A decision key must be std::to_string of an int32 decision value.
+Value parse_decision_key(const std::string& key) {
+  std::int32_t v = 0;
+  const auto result = std::from_chars(key.data(), key.data() + key.size(), v);
+  CIL_CHECK_MSG(result.ec == std::errc() && std::to_string(v) == key &&
+                    v != kNoValue,
+                "batch_summary artifact: decision key '" + key +
+                    "' is not a canonical int32 decision value");
+  return v;
 }
 
 }  // namespace
@@ -52,14 +92,15 @@ Json shard_summary_to_json(const ShardSummary& shard) {
   doc["decision_counts"] = std::move(decisions);
   doc["total_steps"] = Json(s.total_steps);
   doc["recoveries"] = Json(s.recoveries);
+  doc["run_digest"] = Json(std::to_string(s.run_digest));
 
-  Json samples = Json::object();
-  samples["steps"] = samples_to_json(s.steps);
-  samples["steps_p0"] = samples_to_json(s.steps_p0);
-  samples["steps_p1"] = samples_to_json(s.steps_p1);
-  samples["max_register_bits"] = samples_to_json(s.max_register_bits);
-  samples["probe"] = samples_to_json(s.probe);
-  doc["samples"] = std::move(samples);
+  Json tallies = Json::object();
+  tallies["steps"] = tally_to_json(s.steps);
+  tallies["steps_p0"] = tally_to_json(s.steps_p0);
+  tallies["steps_p1"] = tally_to_json(s.steps_p1);
+  tallies["max_register_bits"] = tally_to_json(s.max_register_bits);
+  tallies["probe"] = tally_to_json(s.probe);
+  doc["tallies"] = std::move(tallies);
 
   Json wall = Json::object();
   wall["wall_seconds"] = Json(s.wall_seconds);
@@ -70,36 +111,55 @@ Json shard_summary_to_json(const ShardSummary& shard) {
 }
 
 ShardSummary shard_summary_from_json(const Json& doc) {
-  CIL_CHECK_MSG(doc.is_object() && doc.find("artifact") != nullptr &&
-                    doc.at("artifact").as_string() == kBatchSummaryArtifactName,
-                "not a cilcoord.batch_summary.v1 artifact");
+  const Json* tag = doc.find("artifact");
+  const bool tagged = tag != nullptr && tag->is_string();
+  CIL_CHECK_MSG(!tagged || tag->as_string() != kV1ArtifactName,
+                std::string(kV1ArtifactName) +
+                    " artifacts (per-seed sample vectors) are no longer "
+                    "read; re-run the sweep to write " +
+                    kBatchSummaryArtifactName);
+  CIL_CHECK_MSG(tagged && tag->as_string() == kBatchSummaryArtifactName,
+                std::string("not a ") + kBatchSummaryArtifactName +
+                    " artifact");
   ShardSummary out;
-  out.range.first_seed = parse_seed_string(doc.at("first_seed"));
+  out.range.first_seed = parse_u64_string(doc.at("first_seed"), "first_seed");
   out.range.num_runs = doc.at("num_runs").as_int();
   CIL_CHECK_MSG(out.range.num_runs >= 0,
                 "batch_summary artifact: negative num_runs");
+  CIL_CHECK_MSG(out.range.num_runs == 0 ||
+                    static_cast<std::uint64_t>(out.range.num_runs - 1) <=
+                        ~std::uint64_t{0} - out.range.first_seed,
+                "batch_summary artifact: seed range runs past 2^64");
 
   BatchSummary& s = out.summary;
   s.num_runs = out.range.num_runs;
   s.decided_runs = doc.at("decided_runs").as_int();
+  CIL_CHECK_MSG(s.decided_runs >= 0 && s.decided_runs <= s.num_runs,
+                "batch_summary artifact: decided_runs out of range");
+  std::int64_t decisions = 0;
   for (const auto& [key, count] : doc.at("decision_counts").as_object()) {
-    CIL_CHECK_MSG(!key.empty(), "batch_summary artifact: empty decision key");
-    s.decision_counts[static_cast<Value>(std::stol(key))] = count.as_int();
+    const std::int64_t n = count.as_int();
+    CIL_CHECK_MSG(n >= 1 && n <= s.num_runs - decisions,
+                  "batch_summary artifact: decision count out of range");
+    decisions += n;
+    s.decision_counts[parse_decision_key(key)] = n;
   }
   s.total_steps = doc.at("total_steps").as_int();
   s.recoveries = doc.at("recoveries").as_int();
+  s.run_digest = parse_u64_string(doc.at("run_digest"), "run_digest");
 
-  const Json& samples = doc.at("samples");
-  s.steps = samples_from_json(samples.at("steps"), s.num_runs, "steps");
+  const Json& tallies = doc.at("tallies");
+  s.steps = tally_from_json(tallies.at("steps"), s.num_runs, false, "steps");
   s.steps_p0 =
-      samples_from_json(samples.at("steps_p0"), s.num_runs, "steps_p0");
+      tally_from_json(tallies.at("steps_p0"), s.num_runs, false, "steps_p0");
   s.steps_p1 =
-      samples_from_json(samples.at("steps_p1"), s.num_runs, "steps_p1");
-  s.max_register_bits = samples_from_json(samples.at("max_register_bits"),
-                                          s.num_runs, "max_register_bits");
-  s.probe = samples_from_json(samples.at("probe"), s.num_runs, "probe");
-  CIL_CHECK_MSG(s.steps.count() == s.num_runs,
-                "batch_summary artifact: steps samples missing");
+      tally_from_json(tallies.at("steps_p1"), s.num_runs, false, "steps_p1");
+  s.max_register_bits = tally_from_json(tallies.at("max_register_bits"),
+                                        s.num_runs, false, "max_register_bits");
+  s.probe = tally_from_json(tallies.at("probe"), s.num_runs, true, "probe");
+  CIL_CHECK_MSG(s.steps.sum() == s.total_steps,
+                "batch_summary artifact: total_steps disagrees with the "
+                "steps tally");
 
   const Json& wall = doc.at("wall");
   s.wall_seconds = wall.at("wall_seconds").as_number();
@@ -112,11 +172,10 @@ bool deterministic_fields_equal(const BatchSummary& a, const BatchSummary& b) {
   return a.num_runs == b.num_runs && a.decided_runs == b.decided_runs &&
          a.decision_counts == b.decision_counts &&
          a.total_steps == b.total_steps && a.recoveries == b.recoveries &&
-         a.steps.samples() == b.steps.samples() &&
-         a.steps_p0.samples() == b.steps_p0.samples() &&
-         a.steps_p1.samples() == b.steps_p1.samples() &&
-         a.max_register_bits.samples() == b.max_register_bits.samples() &&
-         a.probe.samples() == b.probe.samples();
+         a.steps == b.steps && a.steps_p0 == b.steps_p0 &&
+         a.steps_p1 == b.steps_p1 &&
+         a.max_register_bits == b.max_register_bits && a.probe == b.probe &&
+         a.run_digest == b.run_digest;
 }
 
 void SweepSummary::check_disjoint(const SeedRange& range) const {
@@ -190,7 +249,7 @@ SeedRange SweepSummary::span() const {
 
 BatchSummary SweepSummary::to_batch_summary() const {
   CIL_CHECK_MSG(contiguous(),
-                "SweepSummary: refusing to concatenate across a seed gap; "
+                "SweepSummary: refusing to merge across a seed gap; "
                 "use to_partial_batch_summary() and report the gaps");
   return to_partial_batch_summary();
 }
@@ -203,22 +262,7 @@ BatchSummary SweepSummary::to_partial_batch_summary() const {
   BatchSummary out;
   for (const auto& [first_seed, shard] : shards_) {
     (void)first_seed;
-    const BatchSummary& s = shard.summary;
-    out.num_runs += s.num_runs;
-    out.decided_runs += s.decided_runs;
-    for (const auto& [value, count] : s.decision_counts)
-      out.decision_counts[value] += count;
-    out.total_steps += s.total_steps;
-    out.recoveries += s.recoveries;
-    for (const std::int64_t x : s.steps.samples()) out.steps.add(x);
-    for (const std::int64_t x : s.steps_p0.samples()) out.steps_p0.add(x);
-    for (const std::int64_t x : s.steps_p1.samples()) out.steps_p1.add(x);
-    for (const std::int64_t x : s.max_register_bits.samples())
-      out.max_register_bits.add(x);
-    for (const std::int64_t x : s.probe.samples()) out.probe.add(x);
-    out.wall_seconds += s.wall_seconds;
-    out.construct_seconds += s.construct_seconds;
-    out.run_seconds += s.run_seconds;
+    out.merge(shard.summary);
   }
   return out;
 }

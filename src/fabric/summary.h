@@ -2,19 +2,19 @@
 //
 // A distributed sweep is a set of worker processes, each running one
 // contiguous SeedRange shard through BatchRunner and persisting its
-// BatchSummary as a versioned JSON artifact (cilcoord.batch_summary.v1).
+// BatchSummary as a versioned JSON artifact (cilcoord.batch_summary.v2).
 // Shards combine through SweepSummary, a map keyed by each shard's
-// first_seed whose union is the merge operation. Because shards must be
-// pairwise-disjoint seed ranges and the map iterates in seed order, the
-// merge is associative and commutative BY CONSTRUCTION: any merge tree over
-// any arrival order yields the same map, and to_batch_summary() then
-// re-runs the exact seed-order reduction BatchRunner would have done — so
-// the merged summary is bit-identical to a single-process sweep over the
-// whole range (pinned by fabric_test against random partitions).
+// first_seed that checks the seed ranges are pairwise disjoint and folds
+// the summaries with BatchSummary::merge — the same monoid BatchRunner's
+// threads use. Every deterministic field is a commutative sum (counts,
+// exact integer tallies, the seed-keyed run digest), so any merge tree over
+// any arrival order yields the same summary, and a complete contiguous
+// merge is bit-identical to a single-process sweep over the whole range
+// (pinned by fabric_test against random partitions).
 //
 // What "bit-identical" covers: every field of BatchSummary except the
-// wall-clock block (wall_seconds / construct_seconds / run_seconds), which
-// is summed but explicitly outside the determinism contract — see
+// wall-clock block (wall_seconds / construct_seconds / run_seconds) and
+// simd_width, which are measurement, outside the determinism contract — see
 // deterministic_fields_equal().
 #pragma once
 
@@ -30,39 +30,55 @@ namespace cil::fabric {
 
 /// Artifact tag for one serialized shard (or merged sweep) summary.
 inline constexpr const char* kBatchSummaryArtifactName =
-    "cilcoord.batch_summary.v1";
+    "cilcoord.batch_summary.v2";
 
 /// One shard's result: which seeds it covered and what came out. The range
 /// is carried redundantly with summary.num_runs so a parsed artifact can be
-/// validated (num_runs must equal range.num_runs and every sample vector's
-/// length).
+/// validated (num_runs must equal range.num_runs and every tally's count).
 struct ShardSummary {
   SeedRange range;
   BatchSummary summary;
 };
 
-/// Serialize one shard summary as a cilcoord.batch_summary.v1 document.
-/// Seeds are 64-bit and JSON numbers are doubles, so first_seed travels as
-/// a decimal string (same convention as search artifacts' sched_seed).
-/// Sample vectors are emitted in full, in seed order — they are the payload
-/// that makes the merge exact rather than approximate.
+/// Serialize one shard summary as a cilcoord.batch_summary.v2 document:
+///
+///   {"artifact":"cilcoord.batch_summary.v2", "first_seed":"<u64>",
+///    "num_runs":N, "decided_runs":D, "decision_counts":{"<value>":n,...},
+///    "total_steps":T, "recoveries":R, "run_digest":"<u64>",
+///    "tallies":{"steps":[[v,n],...], "steps_p0":[...], "steps_p1":[...],
+///               "max_register_bits":[...], "probe":[...]},
+///    "wall":{"wall_seconds":..,"construct_seconds":..,"run_seconds":..}}
+///
+/// Each tally is its ascending [value,count] bins, so the document's size
+/// grows with the distinct values, not with the runs. Seeds and the digest
+/// are 64-bit and JSON numbers are doubles, so they travel as decimal
+/// strings (same convention as search artifacts' sched_seed); tally values
+/// round-trip exactly within ±2^53.
 obs::Json shard_summary_to_json(const ShardSummary& shard);
 
-/// Parse and validate a cilcoord.batch_summary.v1 document. Throws
-/// ContractViolation on a wrong artifact tag, malformed fields, or sample
-/// vectors whose lengths disagree with num_runs.
+/// Parse and validate a cilcoord.batch_summary.v2 document. Built for bytes
+/// from outside (peer result frames, checkpoint files): ContractViolation
+/// is the only exception it throws. It rejects a wrong tag (a v1 document
+/// with a message naming v1 — no v1 reader is kept), missing or mistyped
+/// fields, non-canonical first_seed / run_digest strings or decision keys
+/// (each value has exactly one spelling: std::to_string of a uint64, or of
+/// an int32 decision), tally bins whose values do not strictly increase or
+/// whose counts are below 1 or do not sum to num_runs (probe: 0 or
+/// num_runs), and a total_steps that disagrees with the steps tally.
 ShardSummary shard_summary_from_json(const obs::Json& doc);
 
-/// True when every deterministic field of the two summaries matches exactly
-/// (counts, decision histogram, and all five sample vectors element-wise).
-/// The wall-clock block is ignored — it is honest measurement, not part of
-/// the contract.
+/// True when every deterministic field of the two summaries matches exactly:
+/// counts, decision histogram, all five tallies, and run_digest. The
+/// wall-clock block and simd_width are ignored — they are honest
+/// measurement, not part of the contract.
 bool deterministic_fields_equal(const BatchSummary& a, const BatchSummary& b);
 
 /// An order-insensitive accumulation of disjoint shard summaries. The merge
 /// monoid of the fabric: empty() is the identity, add() is the operation,
 /// and the internal map makes (A ∪ B) ∪ C == A ∪ (B ∪ C) structural rather
-/// than something to prove per-field.
+/// than something to prove per-field. The summaries are folded in seed
+/// order with BatchSummary::merge, so even the summed wall-clock doubles
+/// come out the same for every arrival order.
 class SweepSummary {
  public:
   /// Fold one shard in. Throws ContractViolation if the shard's seed range
@@ -87,15 +103,14 @@ class SweepSummary {
   /// meaningful when contiguous(); throws ContractViolation when empty.
   SeedRange span() const;
 
-  /// Concatenate the shards, in seed order, into one BatchSummary — the
-  /// same reduction order BatchRunner uses, hence bit-identical to a
-  /// single-process run when the shards are contiguous and complete.
+  /// Merge the shards, in seed order, into one BatchSummary — bit-identical
+  /// to a single-process run when the shards are contiguous and complete.
   /// Wall-clock fields are summed across shards. Throws ContractViolation
   /// when the shards are not contiguous (a partial sweep must be reported
-  /// as partial, not silently concatenated across a gap).
+  /// as partial, not silently merged across a gap).
   BatchSummary to_batch_summary() const;
 
-  /// Like to_batch_summary(), but for graceful degradation: concatenates
+  /// Like to_batch_summary(), but for graceful degradation: merges
   /// whatever shards are present, gaps and all. Callers must report the
   /// missing ranges alongside (tools/sweep prints incomplete_shards).
   BatchSummary to_partial_batch_summary() const;

@@ -28,7 +28,7 @@
 //   a shard that exhausts its retry budget — or any shard when zero peers
 //   are alive — runs locally, so the sweep completes under arbitrary peer
 //   churn, degrading at worst to the serial path. Shard summaries fold
-//   through the fabric merge monoid, so the final batch_summary.v1 is
+//   through the fabric merge monoid, so the final batch_summary.v2 is
 //   bit-identical to one serial BatchRunner run of the whole range
 //   (what `sweep --serial --verify-against` checks). When checkpoint_dir
 //   is set, committed shards persist through a fabric::CheckpointStore

@@ -268,6 +268,11 @@ double Json::as_number() const {
 
 std::int64_t Json::as_int() const {
   const double d = as_number();
+  // Range-check before the cast: converting a double outside int64 (1e300,
+  // -1e19, 2^63) is undefined behaviour. -2^63 and 2^63 are exact doubles.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  CIL_CHECK_MSG(std::isfinite(d) && d >= -kTwo63 && d < kTwo63,
+                "Json: number is outside the int64 range");
   const auto i = static_cast<std::int64_t>(d);
   CIL_CHECK_MSG(static_cast<double>(i) == d, "Json: number is not integral");
   return i;

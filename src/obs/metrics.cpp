@@ -13,17 +13,18 @@ FixedHistogram::FixedHistogram(std::vector<double> upper_bounds)
   CIL_EXPECTS(std::is_sorted(bounds_.begin(), bounds_.end()));
 }
 
-void FixedHistogram::observe(double x) {
+void FixedHistogram::observe(double x, std::int64_t count) {
+  CIL_EXPECTS(count >= 1);
   if (count_ == 0) {
     min_ = max_ = x;
   } else {
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
   }
-  ++count_;
-  sum_ += x;
+  count_ += count;
+  sum_ += x * static_cast<double>(count);
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
-  ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
+  counts_[static_cast<std::size_t>(it - bounds_.begin())] += count;
 }
 
 double FixedHistogram::mean() const {

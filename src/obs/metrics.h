@@ -37,7 +37,8 @@ class FixedHistogram {
   FixedHistogram() : FixedHistogram(default_bounds()) {}
   explicit FixedHistogram(std::vector<double> upper_bounds);
 
-  void observe(double x);
+  /// Record `count` >= 1 observations of x.
+  void observe(double x, std::int64_t count = 1);
 
   std::int64_t count() const { return count_; }
   double sum() const { return sum_; }

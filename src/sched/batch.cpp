@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace cil {
 
@@ -18,25 +19,59 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
-/// The per-run facts a worker records into its preallocated seed-order slot.
-/// Plain data only — the reduction happens single-threaded afterwards.
-struct RunRecord {
-  std::int64_t total_steps = 0;
-  std::int64_t steps_p0 = 0;
-  std::int64_t steps_p1 = 0;
-  std::int64_t recoveries = 0;
-  int max_register_bits = 0;
-  Value decision = kNoValue;
-  bool all_decided = false;
-  std::int64_t probe = 0;
-};
-
-struct WorkerTiming {
-  double construct = 0.0;
-  double run = 0.0;
-};
-
 }  // namespace
+
+std::uint64_t run_digest_term(std::uint64_t seed, const RunRecord& r) {
+  // Each field enters the packed word through its own odd multiplier, so a
+  // change to any one field changes the word; SplitMix64's finalizer then
+  // mixes the word with the mixed seed, so the term is not a sum of a seed
+  // part and a record part — two seeds trading records change the digest.
+  const auto u = [](std::int64_t x) { return static_cast<std::uint64_t>(x); };
+  const std::uint64_t fields =
+      u(r.total_steps) * 0x9E3779B97F4A7C15ULL +
+      u(r.steps_p0) * 0xC2B2AE3D27D4EB4FULL +
+      u(r.steps_p1) * 0x165667B19E3779F9ULL +
+      u(r.recoveries) * 0xD6E8FEB86659FD93ULL +
+      u(r.max_register_bits) * 0xFF51AFD7ED558CCDULL +
+      u(r.decision) * 0xC4CEB9FE1A85EC53ULL +
+      (r.all_decided ? 0x2545F4914F6CDD1DULL : 0) +
+      (r.probe ? u(*r.probe) * 0x5851F42D4C957F2DULL + 0x14057B7EF767814FULL
+               : 0);
+  return SplitMix64(SplitMix64(seed).next() ^ fields).next();
+}
+
+void BatchSummary::add_run(std::uint64_t seed, const RunRecord& r) {
+  ++num_runs;
+  if (r.all_decided) ++decided_runs;
+  if (r.decision != kNoValue) ++decision_counts[r.decision];
+  total_steps += r.total_steps;
+  recoveries += r.recoveries;
+  steps.add(r.total_steps);
+  steps_p0.add(r.steps_p0);
+  steps_p1.add(r.steps_p1);
+  max_register_bits.add(r.max_register_bits);
+  if (r.probe) probe.add(*r.probe);
+  run_digest += run_digest_term(seed, r);
+}
+
+void BatchSummary::merge(const BatchSummary& other) {
+  num_runs += other.num_runs;
+  decided_runs += other.decided_runs;
+  for (const auto& [value, count] : other.decision_counts)
+    decision_counts[value] += count;
+  total_steps += other.total_steps;
+  recoveries += other.recoveries;
+  steps.merge(other.steps);
+  steps_p0.merge(other.steps_p0);
+  steps_p1.merge(other.steps_p1);
+  max_register_bits.merge(other.max_register_bits);
+  probe.merge(other.probe);
+  run_digest += other.run_digest;
+  simd_width = std::max(simd_width, other.simd_width);
+  wall_seconds += other.wall_seconds;
+  construct_seconds += other.construct_seconds;
+  run_seconds += other.run_seconds;
+}
 
 std::vector<SeedRange> split_seed_range(const SeedRange& range, int parts) {
   CIL_EXPECTS(range.num_runs >= 0);
@@ -96,18 +131,19 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
       threads, 1, options.num_runs));
 
   std::atomic<bool> cancelled{false};  ///< any worker saw the cancel flag
-  std::vector<RunRecord> records(static_cast<std::size_t>(options.num_runs));
-  std::vector<WorkerTiming> timing(static_cast<std::size_t>(threads));
+  std::vector<BatchSummary> partial(static_cast<std::size_t>(threads));
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(threads));
   std::vector<std::int64_t> error_run(
       static_cast<std::size_t>(threads),
       std::numeric_limits<std::int64_t>::max());
 
-  // One shard, one LaneEngine. Runs land in seed-indexed record slots and a
-  // failure is attributed to its run index, so the reduction below cannot
-  // tell how the range was sharded — the thread/lane-invariance contract.
+  // One shard, one LaneEngine, one partial summary. Each harvested run folds
+  // into the worker's own summary (a local, so workers share no cache line
+  // while they run) and a failure is attributed to its run index, so the
+  // merge below cannot tell how the range was sharded or in which order the
+  // lanes finished — the thread/lane-invariance contract.
   const auto worker = [&](int w, std::int64_t begin, std::int64_t end) {
-    WorkerTiming& wt = timing[static_cast<std::size_t>(w)];
+    BatchSummary part;
     try {
       const auto c0 = Clock::now();
       LaneEngine engine(protocol_, inputs_);
@@ -128,16 +164,15 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
       } else if (options.engine == BatchEngine::kScalar) {
         lo.scheduler = spec_scheduler(options.lane_sched);
       }
-      if (w == 0) out.simd_width = engine.selected_simd_width(lo);
+      part.simd_width = engine.selected_simd_width(lo);
       const auto c1 = Clock::now();
-      wt.construct += seconds_between(c0, c1);
+      part.construct_seconds = seconds_between(c0, c1);
       bool complete = false;
       try {
         complete = engine.run(
             options.first_seed + static_cast<std::uint64_t>(begin),
             end - begin, lo, [&](const LaneRunView& v) {
-              RunRecord& rec = records[static_cast<std::size_t>(
-                  v.seed - options.first_seed)];
+              RunRecord rec;
               rec.total_steps = v.total_steps;
               rec.steps_p0 = v.steps_p0;
               rec.steps_p1 = v.steps_p1;
@@ -145,7 +180,8 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
               rec.max_register_bits = v.max_register_bits;
               rec.decision = v.decision;
               rec.all_decided = v.all_decided;
-              rec.probe = v.probe;
+              if (probe != nullptr) rec.probe = v.probe;
+              part.add_run(v.seed, rec);
               if (after_run != nullptr) after_run(v.seed);
             });
       } catch (...) {
@@ -153,8 +189,9 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
             begin + std::max<std::int64_t>(0, engine.failed_run_index());
         throw;
       }
-      wt.run += seconds_between(c1, Clock::now());
+      part.run_seconds = seconds_between(c1, Clock::now());
       if (!complete) cancelled.store(true, std::memory_order_relaxed);
+      partial[static_cast<std::size_t>(w)] = std::move(part);
     } catch (...) {
       errors[static_cast<std::size_t>(w)] = std::current_exception();
       if (error_run[static_cast<std::size_t>(w)] ==
@@ -194,44 +231,12 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
   if (first_error >= 0)
     std::rethrow_exception(errors[static_cast<std::size_t>(first_error)]);
 
-  // Cancellation wins over a summary: a worker that broke out left holes in
-  // `records`, so no partial reduction is offered — the caller asked for
-  // the sweep to stop, not for an approximate answer.
+  // Cancellation wins over a summary: a worker that broke out folded only
+  // part of its shard, so no partial reduction is offered — the caller
+  // asked for the sweep to stop, not for an approximate answer.
   if (cancelled.load(std::memory_order_relaxed)) throw BatchCancelled();
 
-  // Seed-order reduction over the preallocated slots: thread-count never
-  // changes what this loop sees. Decision values are tallied in a tiny
-  // linear-scan accumulator first — distinct decisions are bounded by the
-  // input set, so a map node lookup per run would be pure overhead.
-  std::vector<std::pair<Value, std::int64_t>> decision_tally;
-  for (const RunRecord& rec : records) {
-    ++out.num_runs;
-    if (rec.all_decided) ++out.decided_runs;
-    if (rec.decision != kNoValue) {
-      bool found = false;
-      for (auto& [value, count] : decision_tally) {
-        if (value == rec.decision) {
-          ++count;
-          found = true;
-          break;
-        }
-      }
-      if (!found) decision_tally.emplace_back(rec.decision, 1);
-    }
-    out.total_steps += rec.total_steps;
-    out.recoveries += rec.recoveries;
-    out.steps.add(rec.total_steps);
-    out.steps_p0.add(rec.steps_p0);
-    out.steps_p1.add(rec.steps_p1);
-    out.max_register_bits.add(rec.max_register_bits);
-    if (probe != nullptr) out.probe.add(rec.probe);
-  }
-  for (const auto& [value, count] : decision_tally)
-    out.decision_counts[value] = count;
-  for (const WorkerTiming& wt : timing) {
-    out.construct_seconds += wt.construct;
-    out.run_seconds += wt.run;
-  }
+  for (const BatchSummary& part : partial) out.merge(part);
   out.wall_seconds = seconds_between(t_start, Clock::now());
   return out;
 }

@@ -12,16 +12,21 @@
 // Determinism is the contract that makes the parallelism invisible: a run's
 // outcome is a pure function of (protocol, inputs, options, seed), because
 // reset() restarts the PRNG stream and each worker's scheduler is re-armed
-// per seed. Per-run records land in a preallocated slot indexed by global
-// run index, and the reduction walks those slots in seed order — so the
-// BatchSummary is bit-identical whether the sweep ran on 1 thread or 16,
-// with 1 lane or 64 (also pinned by batch_test).
+// per seed. Each worker folds every finished run into its own partial
+// BatchSummary (add_run) as the engine harvests it, and the join merges the
+// partials (merge). Every deterministic field is a commutative sum — counts,
+// exact integer tallies, and a seed-keyed digest — so neither harvest order
+// nor shard boundaries can reach the result: the BatchSummary is
+// bit-identical whether the sweep ran on 1 thread or 16, with 1 lane or 64
+// (pinned by batch_test), and a sweep holds O(distinct values) per worker,
+// not O(runs).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -125,10 +130,29 @@ using SchedulerFactory = std::function<SchedulerProvider()>;
 /// effects on the seed (every existing user) are unaffected.
 using RunHook = std::function<void(std::uint64_t seed)>;
 
-/// The deterministic, seed-order-stable reduction of a batch: every field
-/// above the wall-clock block is a pure function of (protocol, inputs,
-/// options, seed range) — thread-count-invariant by construction. Sample
-/// sets hold one entry per run, in seed order.
+/// The facts one finished run contributes to a BatchSummary.
+struct RunRecord {
+  std::int64_t total_steps = 0;
+  std::int64_t steps_p0 = 0;  ///< own steps of pid 0
+  std::int64_t steps_p1 = 0;  ///< own steps of pid 1 (0 when n == 1)
+  std::int64_t recoveries = 0;
+  int max_register_bits = 0;
+  Value decision = kNoValue;  ///< first decided pid's value
+  bool all_decided = false;
+  std::optional<std::int64_t> probe;  ///< RunProbe's value; empty without one
+};
+
+/// H(seed, record): one run's term of BatchSummary::run_digest, covering
+/// every RunRecord field. Part of the cilcoord.batch_summary.v2 schema
+/// (fabric/summary.h): artifacts written by different builds compare equal
+/// only if this function does not change.
+std::uint64_t run_digest_term(std::uint64_t seed, const RunRecord& record);
+
+/// The deterministic reduction of a batch: every field above the
+/// wall-clock block is a pure function of (protocol, inputs, options, seed
+/// range). All of them are commutative sums over runs, so add_run and
+/// merge form one monoid — the reduction BatchRunner's workers, the fabric's
+/// shards, the service's chunks and the fleet's peers all use.
 struct BatchSummary {
   std::int64_t num_runs = 0;
   std::int64_t decided_runs = 0;  ///< runs with SimResult::all_decided
@@ -137,11 +161,16 @@ struct BatchSummary {
   std::map<Value, std::int64_t> decision_counts;
   std::int64_t total_steps = 0;  ///< summed over runs
   std::int64_t recoveries = 0;   ///< summed over runs
-  SampleSet steps;               ///< total steps per run
-  SampleSet steps_p0;            ///< own-steps of pid 0 per run
-  SampleSet steps_p1;            ///< own-steps of pid 1 (n >= 2)
-  SampleSet max_register_bits;   ///< Theorem 9 high-water mark per run
-  SampleSet probe;               ///< RunProbe values; empty without a probe
+  Tally steps;                   ///< total steps per run
+  Tally steps_p0;                ///< own-steps of pid 0 per run
+  Tally steps_p1;                ///< own-steps of pid 1 (n >= 2)
+  Tally max_register_bits;       ///< Theorem 9 high-water mark per run
+  Tally probe;                   ///< RunProbe values; empty without a probe
+  /// Sum over runs of run_digest_term(seed, record), mod 2^64. The tallies
+  /// forget which seed produced which value; the digest keeps per-seed
+  /// identity: it needs no ordering, yet a change to any one run (or two
+  /// seeds trading records) moves it.
+  std::uint64_t run_digest = 0;
 
   // Machine/engine metadata — NOT part of the deterministic contract (the
   // values above never depend on them; pinned by batch_test). construct/run
@@ -156,6 +185,14 @@ struct BatchSummary {
   /// arming happen inside the engine's run and count as run_seconds.
   double construct_seconds = 0.0;
   double run_seconds = 0.0;  ///< LaneEngine::run, the whole shard
+
+  /// Fold one finished run in. O(1) and allocation-free once the tallies
+  /// have grown to the run's values.
+  void add_run(std::uint64_t seed, const RunRecord& record);
+  /// Fold another summary in: deterministic fields add (the monoid
+  /// operation, commutative and associative); the wall-clock block is
+  /// summed and simd_width takes the larger width.
+  void merge(const BatchSummary& other);
 };
 
 class BatchRunner {

@@ -172,8 +172,9 @@ struct LaneRunView {
 };
 
 /// Called once per finished run, in lane-harvest order (NOT seed order —
-/// lanes finish when their runs do). Callers wanting seed order write into
-/// seed-indexed slots, exactly as BatchRunner does.
+/// lanes finish when their runs do). BatchRunner folds each run into an
+/// order-insensitive summary; callers wanting seed order write into
+/// seed-indexed slots, as run_collect does.
 using LaneHarvest = std::function<void(const LaneRunView&)>;
 
 class LaneEngine {

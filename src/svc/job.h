@@ -9,7 +9,7 @@
 //            unit the fabric uses), each chunk runs through one pooled
 //            BatchRunner, and chunk summaries fold into a SweepSummary.
 //            Because the fold is the fabric's merge monoid, the final
-//            streamed batch_summary.v1 is bit-identical to running the
+//            streamed batch_summary.v2 is bit-identical to running the
 //            whole range in one BatchRunner call — chunking buys streamed
 //            progress and fast cancellation without costing determinism
 //            (pinned by svc_test).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <limits>
 
 #include "util/check.h"
 
@@ -48,97 +48,156 @@ double RunningStats::ci95_halfwidth() const {
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
 }
 
-void SampleSet::add(std::int64_t x) { data_.push_back(x); }
+namespace {
 
-const std::vector<std::int64_t>& SampleSet::sorted() const {
-  if (sorted_.size() != data_.size()) {
-    sorted_ = data_;
-    std::sort(sorted_.begin(), sorted_.end());
+// The exact sum of a tally can leave int64 (a probe may return any int64),
+// so it is accumulated in 128 bits.
+__extension__ using Int128 = __int128;
+
+Int128 exact_sum(const Tally& t) {
+  Int128 sum = 0;
+  for (const auto& [value, n] : t.bins())
+    sum += static_cast<Int128>(value) * static_cast<Int128>(n);
+  return sum;
+}
+
+}  // namespace
+
+void Tally::add(std::int64_t x, std::int64_t n) {
+  CIL_EXPECTS(n >= 1);
+  count_ += n;
+  if (x >= 0 && x < kDenseLimit) {
+    const auto i = static_cast<std::size_t>(x);
+    if (i >= dense_.size())
+      dense_.resize(std::clamp<std::size_t>(2 * i, 64, kDenseLimit), 0);
+    dense_[i] += n;
+  } else {
+    sparse_[x] += n;
   }
-  return sorted_;
 }
 
-double SampleSet::mean() const {
-  CIL_EXPECTS(!data_.empty());
-  double sum = 0;
-  for (auto x : data_) sum += static_cast<double>(x);
-  return sum / static_cast<double>(data_.size());
+void Tally::merge(const Tally& other) {
+  if (other.dense_.size() > dense_.size()) dense_.resize(other.dense_.size(), 0);
+  for (std::size_t i = 0; i < other.dense_.size(); ++i)
+    dense_[i] += other.dense_[i];
+  for (const auto& [value, n] : other.sparse_) sparse_[value] += n;
+  count_ += other.count_;
 }
 
-double SampleSet::stddev() const {
-  if (data_.size() < 2) return 0.0;
+template <typename F>
+void Tally::for_each_bin(F&& f) const {
+  // Sparse values lie below 0 or at/above kDenseLimit, so the ascending
+  // order is: negative sparse, dense, large sparse.
+  auto it = sparse_.begin();
+  for (; it != sparse_.end() && it->first < 0; ++it)
+    if (!f(it->first, it->second)) return;
+  for (std::size_t i = 0; i < dense_.size(); ++i)
+    if (dense_[i] != 0 && !f(static_cast<std::int64_t>(i), dense_[i])) return;
+  for (; it != sparse_.end(); ++it)
+    if (!f(it->first, it->second)) return;
+}
+
+std::vector<std::pair<std::int64_t, std::int64_t>> Tally::bins() const {
+  std::vector<std::pair<std::int64_t, std::int64_t>> out;
+  for_each_bin([&](std::int64_t value, std::int64_t n) {
+    out.emplace_back(value, n);
+    return true;
+  });
+  return out;
+}
+
+bool operator==(const Tally& a, const Tally& b) {
+  if (a.count_ != b.count_ || a.sparse_ != b.sparse_) return false;
+  // Dense bins beyond the shorter vector must be empty on the longer one.
+  const auto& shorter = a.dense_.size() <= b.dense_.size() ? a.dense_ : b.dense_;
+  const auto& longer = a.dense_.size() <= b.dense_.size() ? b.dense_ : a.dense_;
+  return std::equal(shorter.begin(), shorter.end(), longer.begin()) &&
+         std::all_of(longer.begin() + static_cast<std::ptrdiff_t>(shorter.size()),
+                     longer.end(), [](std::int64_t n) { return n == 0; });
+}
+
+std::int64_t Tally::sum() const {
+  const Int128 sum = exact_sum(*this);
+  CIL_CHECK_MSG(sum >= std::numeric_limits<std::int64_t>::min() &&
+                    sum <= std::numeric_limits<std::int64_t>::max(),
+                "Tally: sum does not fit in int64");
+  return static_cast<std::int64_t>(sum);
+}
+
+double Tally::mean() const {
+  CIL_EXPECTS(count_ > 0);
+  return static_cast<double>(exact_sum(*this)) / static_cast<double>(count_);
+}
+
+double Tally::stddev() const {
+  if (count_ < 2) return 0.0;
   const double m = mean();
   double acc = 0;
-  for (auto x : data_) {
-    const double d = static_cast<double>(x) - m;
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(data_.size() - 1));
+  for_each_bin([&](std::int64_t value, std::int64_t n) {
+    const double d = static_cast<double>(value) - m;
+    acc += static_cast<double>(n) * d * d;
+    return true;
+  });
+  return std::sqrt(acc / static_cast<double>(count_ - 1));
 }
 
-std::int64_t SampleSet::min() const {
-  CIL_EXPECTS(!data_.empty());
-  return sorted().front();
+std::int64_t Tally::min() const {
+  CIL_EXPECTS(count_ > 0);
+  std::int64_t out = 0;
+  for_each_bin([&](std::int64_t value, std::int64_t) {
+    out = value;
+    return false;
+  });
+  return out;
 }
 
-std::int64_t SampleSet::max() const {
-  CIL_EXPECTS(!data_.empty());
-  return sorted().back();
+std::int64_t Tally::max() const {
+  CIL_EXPECTS(count_ > 0);
+  if (!sparse_.empty() && sparse_.rbegin()->first >= kDenseLimit)
+    return sparse_.rbegin()->first;
+  for (std::size_t i = dense_.size(); i-- > 0;)
+    if (dense_[i] != 0) return static_cast<std::int64_t>(i);
+  return sparse_.rbegin()->first;  // every value is negative
 }
 
-std::int64_t SampleSet::percentile(double q) const {
-  CIL_EXPECTS(!data_.empty());
+std::int64_t Tally::percentile(double q) const {
+  CIL_EXPECTS(count_ > 0);
   CIL_EXPECTS(q >= 0.0 && q <= 1.0);
-  const auto& s = sorted();
-  const auto n = s.size();
-  // Nearest-rank: the smallest value with at least q*n samples <= it.
-  std::size_t rank = static_cast<std::size_t>(std::ceil(q * static_cast<double>(n)));
+  // Nearest-rank: the smallest value with at least q*n values <= it, i.e.
+  // the value at 0-based sorted index ceil(q*n) - 1 (clamped to [0, n-1]).
+  std::int64_t rank =
+      static_cast<std::int64_t>(std::ceil(q * static_cast<double>(count_)));
   if (rank > 0) --rank;
-  if (rank >= n) rank = n - 1;
-  return s[rank];
+  if (rank >= count_) rank = count_ - 1;
+  std::int64_t out = 0;
+  std::int64_t below = 0;  // values counted in the bins walked so far
+  for_each_bin([&](std::int64_t value, std::int64_t n) {
+    below += n;
+    out = value;
+    return below <= rank;
+  });
+  return out;
 }
 
-double SampleSet::tail_at_least(std::int64_t k) const {
-  if (data_.empty()) return 0.0;
-  const auto& s = sorted();
-  const auto it = std::lower_bound(s.begin(), s.end(), k);
-  return static_cast<double>(s.end() - it) / static_cast<double>(s.size());
+double Tally::tail_at_least(std::int64_t k) const {
+  if (count_ == 0) return 0.0;
+  std::int64_t below = 0;
+  for_each_bin([&](std::int64_t value, std::int64_t n) {
+    if (value >= k) return false;
+    below += n;
+    return true;
+  });
+  return static_cast<double>(count_ - below) / static_cast<double>(count_);
 }
 
-std::vector<double> SampleSet::survival(std::int64_t k_max) const {
+std::vector<double> Tally::survival(std::int64_t k_max) const {
   std::vector<double> out;
   out.reserve(static_cast<std::size_t>(k_max) + 1);
   for (std::int64_t k = 0; k <= k_max; ++k) out.push_back(tail_at_least(k));
   return out;
 }
 
-std::int64_t Histogram::total() const {
-  std::int64_t t = 0;
-  for (const auto& [value, count] : bins_) {
-    (void)value;
-    t += count;
-  }
-  return t;
-}
-
-std::string Histogram::ascii(int width) const {
-  std::ostringstream os;
-  std::int64_t peak = 0;
-  for (const auto& [value, count] : bins_) {
-    (void)value;
-    peak = std::max(peak, count);
-  }
-  if (peak == 0) return "(empty histogram)\n";
-  for (const auto& [value, count] : bins_) {
-    const int bar = static_cast<int>(
-        (static_cast<double>(count) / static_cast<double>(peak)) * width);
-    os << value << "\t" << count << "\t" << std::string(static_cast<std::size_t>(bar), '#')
-       << "\n";
-  }
-  return os.str();
-}
-
-Summary summarize(const SampleSet& s) {
+Summary summarize(const Tally& s) {
   CIL_EXPECTS(s.count() > 0);
   Summary out;
   out.count = s.count();
@@ -154,13 +213,14 @@ Summary summarize(const SampleSet& s) {
   return out;
 }
 
-double fit_geometric_tail_ratio(const SampleSet& s, std::int64_t k_min,
+double fit_geometric_tail_ratio(const Tally& s, std::int64_t k_min,
                                 std::int64_t min_count) {
   CIL_EXPECTS(s.count() > 0);
   // Least squares on (k, log P[X >= k]) for the ks where the empirical tail
   // still has enough mass to be trustworthy.
   std::vector<std::pair<double, double>> pts;
-  for (std::int64_t k = k_min; k <= s.max(); ++k) {
+  const std::int64_t k_max = s.max();
+  for (std::int64_t k = k_min; k <= k_max; ++k) {
     const double p = s.tail_at_least(k);
     const double n_at_k = p * static_cast<double>(s.count());
     if (n_at_k < static_cast<double>(min_count)) break;

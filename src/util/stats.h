@@ -1,12 +1,13 @@
-// Lightweight statistics used by the bench harness and the tests:
-// streaming moments, order statistics, tail tables, and a geometric-tail
-// fit used to compare measured decision-time tails against the paper's
-// exponential bounds (Theorems 7 and 9).
+// Lightweight statistics used by sweep summaries, the bench harness and the
+// tests: streaming moments, an exact integer distribution (Tally) that
+// answers order statistics and tail tables, and a geometric-tail fit used
+// to compare measured decision-time tails against the paper's exponential
+// bounds (Theorems 7 and 9).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 namespace cil {
@@ -34,51 +35,67 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Collects integer samples and answers distribution queries. Used for
-/// steps-to-decision and max-register-value distributions.
+/// An exact integer distribution: value -> count. Used for steps-to-decision,
+/// own-step, register-width and probe distributions, where it answers every
+/// question a per-sample vector could (nearest-rank percentiles, P[X >= k]
+/// tails, mean from the exact integer sum) in O(distinct values).
 ///
-/// samples() always returns the samples in INSERTION order — for a
-/// BatchSummary that is seed order, the order the fabric serializer and the
-/// shard-merge bit-identity tests depend on. Order statistics (min/max/
-/// percentile/tail) sort a lazily maintained internal copy instead of the
-/// sample vector itself, so querying a percentile never perturbs the order.
-class SampleSet {
+/// Storage: values in [0, kDenseLimit) — every field a sweep records — live
+/// in dense bins that grow geometrically to the largest value seen, so once
+/// a tally has seen its high-water value, add() is one increment with no
+/// allocation. Negative and larger values (a probe may return any int64)
+/// fall back to a sparse map. Which storage holds a value depends only on
+/// the value, and equality and bins() depend only on the (value, count)
+/// multiset, never on how far the dense bins happen to have grown.
+class Tally {
  public:
-  void add(std::int64_t x);
-  std::int64_t count() const { return static_cast<std::int64_t>(data_.size()); }
-  double mean() const;
-  double stddev() const;
-  std::int64_t min() const;
-  std::int64_t max() const;
+  void add(std::int64_t x) {
+    const auto i = static_cast<std::uint64_t>(x);
+    if (i < dense_.size()) {
+      ++dense_[i];
+      ++count_;
+    } else {
+      add(x, 1);
+    }
+  }
+  /// Count n >= 1 occurrences of x.
+  void add(std::int64_t x, std::int64_t n);
+  /// Fold another tally in: the multiset union. Commutative and associative.
+  void merge(const Tally& other);
+
+  std::int64_t count() const { return count_; }
+  /// The exact sum of every value counted; throws ContractViolation if it
+  /// does not fit in int64 (mean() stays exact either way).
+  std::int64_t sum() const;
+  double mean() const;    ///< exact integer sum / count; requires count() > 0
+  double stddev() const;  ///< unbiased (n-1); 0 for fewer than 2 values
+  std::int64_t min() const;  ///< requires count() > 0
+  std::int64_t max() const;  ///< requires count() > 0
   /// q in [0,1]; nearest-rank percentile.
   std::int64_t percentile(double q) const;
-  /// Empirical P[X >= k].
+  /// Empirical P[X >= k]; 0 when empty.
   double tail_at_least(std::int64_t k) const;
   /// Empirical survival table for k = 0..k_max: vector[k] = P[X >= k].
   std::vector<double> survival(std::int64_t k_max) const;
-  /// Samples in insertion order.
-  const std::vector<std::int64_t>& samples() const { return data_; }
+  /// Every (value, count) with count >= 1, values strictly ascending.
+  std::vector<std::pair<std::int64_t, std::int64_t>> bins() const;
+
+  friend bool operator==(const Tally& a, const Tally& b);
 
  private:
-  const std::vector<std::int64_t>& sorted() const;
-  std::vector<std::int64_t> data_;
-  mutable std::vector<std::int64_t> sorted_;  ///< cache; stale when sizes differ
+  static constexpr std::int64_t kDenseLimit = 1 << 12;
+
+  /// f(value, count) for every bin in ascending value order; stops early
+  /// when f returns false.
+  template <typename F>
+  void for_each_bin(F&& f) const;
+
+  std::vector<std::int64_t> dense_;  ///< count of value i at index i
+  std::map<std::int64_t, std::int64_t> sparse_;  ///< values outside dense
+  std::int64_t count_ = 0;
 };
 
-/// Sparse histogram over integer values.
-class Histogram {
- public:
-  void add(std::int64_t x) { ++bins_[x]; }
-  const std::map<std::int64_t, std::int64_t>& bins() const { return bins_; }
-  std::int64_t total() const;
-  /// Render as an ASCII bar chart (one line per bin, bar of '#').
-  std::string ascii(int width = 50) const;
-
- private:
-  std::map<std::int64_t, std::int64_t> bins_;
-};
-
-/// One-stop summary of a SampleSet: the single code path behind every bench
+/// One-stop summary of a Tally: the single code path behind every bench
 /// mean/CI table and machine-readable run-report (bench/bench_util.h).
 struct Summary {
   std::int64_t count = 0;
@@ -92,13 +109,13 @@ struct Summary {
 };
 
 /// Requires at least one sample.
-Summary summarize(const SampleSet& s);
+Summary summarize(const Tally& s);
 
-/// Fit P[X >= k] ≈ C * r^k on the tail of a sample set by least squares on
+/// Fit P[X >= k] ≈ C * r^k on the tail of a tally by least squares on
 /// log-survival, ignoring bins with fewer than `min_count` samples. Returns
 /// the estimated ratio r — e.g. the paper's Theorem 9 predicts r <= 3/4 for
 /// the num-field distribution of the unbounded protocol.
-double fit_geometric_tail_ratio(const SampleSet& s, std::int64_t k_min = 1,
+double fit_geometric_tail_ratio(const Tally& s, std::int64_t k_min = 1,
                                 std::int64_t min_count = 10);
 
 }  // namespace cil

@@ -5,10 +5,14 @@
 //     Simulation that already ran a different seed, then reset(), must
 //     reproduce every corpus line byte-for-byte;
 //   * BatchRunner thread-count invariance: the BatchSummary (counts,
-//     sample vectors in seed order, probe values) is identical on 1 and 4
-//     worker threads;
+//     exact tallies, probe values, and the seed-keyed run digest) is
+//     identical on any number of worker threads and lanes;
+//   * per-seed identity: fresh Simulations folded through
+//     BatchSummary::add_run reproduce the sweep's whole summary, and two
+//     seeds trading records move the digest but no tally;
 //   * the reset path is allocation-free after warmup for the core
-//     protocols (counting global operator new);
+//     protocols, and a sweep's allocated bytes do not grow with its run
+//     count (counting global operator new);
 //   * a multi-thread smoke with crash/recovery fault schedules — the
 //     TSan CI job runs this binary to pin BatchRunner's data-race freedom.
 #include <algorithm>
@@ -39,16 +43,20 @@
 #include "util/simd.h"
 
 // ---------------------------------------------------------------------------
-// Counting allocator: every global allocation bumps a counter, so a test can
-// assert that a code region performs none. Kept trivially simple (malloc +
-// relaxed atomic) so it is safe under TSan too.
+// Counting allocator: every global allocation bumps a counter and a byte
+// total, so a test can assert that a code region performs none, or that
+// its allocations do not scale with its input. Kept trivially simple
+// (malloc + relaxed atomics) so it is safe under TSan too.
 
 namespace {
 std::atomic<std::int64_t> g_allocations{0};
+std::atomic<std::int64_t> g_allocated_bytes{0};
 }  // namespace
 
 void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(static_cast<std::int64_t>(size),
+                              std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
@@ -228,11 +236,27 @@ void expect_equal_summaries(const BatchSummary& a, const BatchSummary& b) {
   EXPECT_EQ(a.decision_counts, b.decision_counts);
   EXPECT_EQ(a.total_steps, b.total_steps);
   EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.steps.samples(), b.steps.samples());
-  EXPECT_EQ(a.steps_p0.samples(), b.steps_p0.samples());
-  EXPECT_EQ(a.steps_p1.samples(), b.steps_p1.samples());
-  EXPECT_EQ(a.max_register_bits.samples(), b.max_register_bits.samples());
-  EXPECT_EQ(a.probe.samples(), b.probe.samples());
+  EXPECT_EQ(a.steps.bins(), b.steps.bins());
+  EXPECT_EQ(a.steps_p0.bins(), b.steps_p0.bins());
+  EXPECT_EQ(a.steps_p1.bins(), b.steps_p1.bins());
+  EXPECT_EQ(a.max_register_bits.bins(), b.max_register_bits.bins());
+  EXPECT_EQ(a.probe.bins(), b.probe.bins());
+  EXPECT_EQ(a.run_digest, b.run_digest);
+}
+
+/// The record a BatchRunner run folds for this result (and probe value).
+RunRecord record_of(const SimResult& r,
+                    std::optional<std::int64_t> probe = std::nullopt) {
+  RunRecord rec;
+  rec.total_steps = r.total_steps;
+  rec.steps_p0 = r.steps_per_process[0];
+  if (r.steps_per_process.size() > 1) rec.steps_p1 = r.steps_per_process[1];
+  rec.recoveries = r.recoveries;
+  rec.max_register_bits = r.max_register_bits;
+  rec.decision = r.decision.value_or(kNoValue);
+  rec.all_decided = r.all_decided;
+  rec.probe = probe;
+  return rec;
 }
 
 SchedulerFactory random_factory(std::uint64_t salt) {
@@ -281,17 +305,15 @@ TEST(BatchRunner, MatchesSerialFreshConstructions) {
   opts.threads = 3;
   const BatchSummary b = batch.run(opts, random_factory(0x1234));
 
+  BatchSummary expected;
   for (std::uint64_t seed = 0; seed < 300; ++seed) {
     SimOptions so;
     so.seed = seed;
     Simulation sim(protocol, {0, 1}, so);
     RandomScheduler sched(seed ^ 0x1234);
-    const SimResult r = sim.run(sched);
-    const auto i = static_cast<std::size_t>(seed);
-    ASSERT_EQ(b.steps.samples()[i], r.total_steps) << "seed " << seed;
-    ASSERT_EQ(b.steps_p0.samples()[i], r.steps_per_process[0]);
-    ASSERT_EQ(b.steps_p1.samples()[i], r.steps_per_process[1]);
+    expected.add_run(seed, record_of(sim.run(sched)));
   }
+  expect_equal_summaries(b, expected);
 }
 
 TEST(BatchRunner, EmptyAndSingleRunEdges) {
@@ -302,12 +324,89 @@ TEST(BatchRunner, EmptyAndSingleRunEdges) {
   const BatchSummary none = batch.run(opts, random_factory(1));
   EXPECT_EQ(none.num_runs, 0);
   EXPECT_EQ(none.steps.count(), 0);
+  EXPECT_EQ(none.run_digest, 0u);
 
   opts.num_runs = 1;
   opts.threads = 16;  // clamped to num_runs
   const BatchSummary one = batch.run(opts, random_factory(1));
   EXPECT_EQ(one.num_runs, 1);
   EXPECT_EQ(one.decided_runs, 1);
+}
+
+TEST(BatchSummary, SwappingTwoSeedsRecordsMovesOnlyTheDigest) {
+  // The tallies forget which seed produced which value; the digest must
+  // not. Two seeds trading their records keep every tally and count.
+  RunRecord a;
+  a.total_steps = 7;
+  a.steps_p0 = 3;
+  a.steps_p1 = 4;
+  a.max_register_bits = 2;
+  a.decision = 0;
+  a.all_decided = true;
+  RunRecord b = a;
+  b.total_steps = 9;
+  b.steps_p0 = 5;
+  b.decision = 1;
+
+  BatchSummary straight, swapped;
+  straight.add_run(10, a);
+  straight.add_run(11, b);
+  swapped.add_run(10, b);
+  swapped.add_run(11, a);
+  EXPECT_EQ(straight.steps, swapped.steps);
+  EXPECT_EQ(straight.steps_p0, swapped.steps_p0);
+  EXPECT_EQ(straight.decision_counts, swapped.decision_counts);
+  EXPECT_EQ(straight.total_steps, swapped.total_steps);
+  EXPECT_NE(straight.run_digest, swapped.run_digest);
+
+  // Every record field reaches the digest term.
+  const std::uint64_t base = run_digest_term(10, a);
+  const std::vector<std::function<void(RunRecord&)>> edits = {
+      [](RunRecord& r) { ++r.total_steps; },
+      [](RunRecord& r) { ++r.steps_p0; },
+      [](RunRecord& r) { ++r.steps_p1; },
+      [](RunRecord& r) { ++r.recoveries; },
+      [](RunRecord& r) { ++r.max_register_bits; },
+      [](RunRecord& r) { r.decision = kNoValue; },
+      [](RunRecord& r) { r.all_decided = false; },
+      [](RunRecord& r) { r.probe = 0; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    RunRecord edited = a;
+    edits[i](edited);
+    EXPECT_NE(run_digest_term(10, edited), base) << "field edit " << i;
+  }
+  EXPECT_NE(run_digest_term(11, a), base);
+
+  // Folding order does not matter: merge is a field-wise sum.
+  BatchSummary left, right;
+  left.add_run(10, a);
+  right.add_run(11, b);
+  BatchSummary merged = right;
+  merged.merge(left);
+  expect_equal_summaries(merged, straight);
+}
+
+TEST(BatchRunner, AllocatedBytesDoNotGrowWithNumRuns) {
+  // A sweep reduces into per-worker tallies, so its allocations are set by
+  // the distinct values it sees, not by how many runs it folds.
+  TwoProcessProtocol protocol;
+  BatchRunner batch(protocol, {0, 1});
+  BatchOptions opts;
+  opts.first_seed = 1;
+  opts.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
+  const auto bytes_for = [&](std::int64_t runs) {
+    opts.num_runs = runs;
+    const std::int64_t before =
+        g_allocated_bytes.load(std::memory_order_relaxed);
+    const BatchSummary s = batch.run(opts, nullptr);
+    EXPECT_EQ(s.num_runs, runs);
+    return g_allocated_bytes.load(std::memory_order_relaxed) - before;
+  };
+  const std::int64_t small = bytes_for(10'000);
+  const std::int64_t large = bytes_for(200'000);
+  EXPECT_LT(std::abs(large - small), 64 * 1024)
+      << "10k seeds allocated " << small << " bytes, 200k seeds " << large;
 }
 
 // -- allocation-free reset path --------------------------------------------
@@ -465,13 +564,17 @@ TEST(BatchLane, SummaryIsThreadAndLaneCountInvariant) {
   opts.threads = 1;
   opts.lanes = 1;
   const BatchSummary serial = batch.run(opts, nullptr);
-  opts.threads = 4;
-  opts.lanes = 8;
-  const BatchSummary sharded = batch.run(opts, nullptr);
-
   EXPECT_EQ(serial.num_runs, 400);
   EXPECT_EQ(serial.decided_runs, 400);
-  expect_equal_summaries(serial, sharded);
+  for (const int threads : {1, 3, 8}) {
+    for (const int lanes : {1, 8}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads x " << lanes
+                                      << " lanes");
+      opts.threads = threads;
+      opts.lanes = lanes;
+      expect_equal_summaries(serial, batch.run(opts, nullptr));
+    }
+  }
 }
 
 TEST(BatchLane, RunHookSeesEverySeedExactlyOnce) {
@@ -559,16 +662,16 @@ TEST(BatchLane, ProbedSweepMatchesFreshSimulations) {
 
   ASSERT_EQ(b.probe.count(), 150);
   EXPECT_EQ(b.simd_width, 1);  // probed runs never reach the vector kernels
+  BatchSummary expected;
   for (std::uint64_t seed = 0; seed < 150; ++seed) {
     SimOptions so;
     so.seed = seed;
     Simulation sim(protocol, {0, 1, 0}, so);
     RandomScheduler sched(seed ^ 0x1234);
     const SimResult r = sim.run(sched);
-    const auto i = static_cast<std::size_t>(seed);
-    ASSERT_EQ(b.probe.samples()[i], probe(sim, r)) << "seed " << seed;
-    ASSERT_EQ(b.steps.samples()[i], r.total_steps) << "seed " << seed;
+    expected.add_run(seed, record_of(r, probe(sim, r)));
   }
+  expect_equal_summaries(b, expected);
 }
 
 TEST(BatchLane, SuppliedFactoryDecidesTheSchedule) {
@@ -583,17 +686,15 @@ TEST(BatchLane, SuppliedFactoryDecidesTheSchedule) {
   opts.threads = 2;
   const BatchSummary b = batch.run(opts, random_factory(0xbeef));
 
+  BatchSummary expected;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     SimOptions so;
     so.seed = seed;
     Simulation sim(protocol, {0, 1}, so);
     RandomScheduler sched(seed ^ 0xbeef);
-    const SimResult r = sim.run(sched);
-    const auto i = static_cast<std::size_t>(seed);
-    ASSERT_EQ(b.steps.samples()[i], r.total_steps) << "seed " << seed;
-    ASSERT_EQ(b.steps_p0.samples()[i], r.steps_per_process[0]);
-    ASSERT_EQ(b.steps_p1.samples()[i], r.steps_per_process[1]);
+    expected.add_run(seed, record_of(sim.run(sched)));
   }
+  expect_equal_summaries(b, expected);
 }
 
 TEST(BatchLane, ReportsSimdWidth) {

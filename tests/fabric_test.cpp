@@ -2,8 +2,10 @@
 //
 //   * split/shard_seed_range semantics, including agreement with the split
 //     BatchRunner uses for its thread shards;
-//   * cilcoord.batch_summary.v1 serialize → parse → re-serialize equality
-//     (the JSON layer's %.17g doubles make the round trip exact);
+//   * cilcoord.batch_summary.v2 serialize → parse → re-serialize equality
+//     (the JSON layer's %.17g doubles make the round trip exact), and the
+//     decoder's refusal of every malformed, non-canonical or v1 document
+//     with a ContractViolation — the only exception it may throw;
 //   * THE MERGE-ALGEBRA PROPERTY: folding the shard summaries of any random
 //     partition of a seed range — in any order, any association — equals
 //     the single-shot BatchSummary bit-for-bit;
@@ -69,11 +71,12 @@ void expect_equal_summaries(const BatchSummary& a, const BatchSummary& b) {
   EXPECT_EQ(a.decision_counts, b.decision_counts);
   EXPECT_EQ(a.total_steps, b.total_steps);
   EXPECT_EQ(a.recoveries, b.recoveries);
-  EXPECT_EQ(a.steps.samples(), b.steps.samples());
-  EXPECT_EQ(a.steps_p0.samples(), b.steps_p0.samples());
-  EXPECT_EQ(a.steps_p1.samples(), b.steps_p1.samples());
-  EXPECT_EQ(a.max_register_bits.samples(), b.max_register_bits.samples());
-  EXPECT_EQ(a.probe.samples(), b.probe.samples());
+  EXPECT_EQ(a.steps.bins(), b.steps.bins());
+  EXPECT_EQ(a.steps_p0.bins(), b.steps_p0.bins());
+  EXPECT_EQ(a.steps_p1.bins(), b.steps_p1.bins());
+  EXPECT_EQ(a.max_register_bits.bins(), b.max_register_bits.bins());
+  EXPECT_EQ(a.probe.bins(), b.probe.bins());
+  EXPECT_EQ(a.run_digest, b.run_digest);
   EXPECT_TRUE(fabric::deterministic_fields_equal(a, b));
 }
 
@@ -150,6 +153,160 @@ TEST(ShardSummaryJson, RejectsWrongTagAndTornPayload) {
   good["num_runs"] = Json(static_cast<std::int64_t>(5));  // samples now lie
   EXPECT_THROW((void)fabric::shard_summary_from_json(good),
                ContractViolation);
+}
+
+/// A valid v2 document for seeds [1, 10] of Figure 1 under random
+/// scheduling: both decisions occur, so decision_counts has keys "0", "1".
+Json valid_doc() {
+  TwoProcessProtocol protocol;
+  ShardSummary shard;
+  shard.range = {1, 10};
+  shard.summary = run_range(protocol, {0, 1}, shard.range);
+  return fabric::shard_summary_to_json(shard);
+}
+
+/// valid_doc() with its decision counts replaced: `key` carries every
+/// decided run.
+Json doc_with_decision_key(const std::string& key) {
+  Json doc = valid_doc();
+  Json decisions = Json::object();
+  decisions[key] = Json(doc.at("decided_runs").as_int());
+  doc["decision_counts"] = std::move(decisions);
+  return doc;
+}
+
+void expect_rejected(const Json& doc) {
+  EXPECT_THROW((void)fabric::shard_summary_from_json(doc), ContractViolation);
+}
+
+TEST(ShardSummaryJson, AcceptsCanonicalDecisionKeys) {
+  for (const char* key : {"0", "1", "-7", "2147483647", "-2147483648"})
+    EXPECT_EQ(fabric::shard_summary_from_json(doc_with_decision_key(key))
+                  .summary.decision_counts.size(),
+              1u)
+        << key;
+}
+
+TEST(ShardSummaryJson, RejectsANonNumericDecisionKey) {
+  expect_rejected(doc_with_decision_key("x"));
+}
+
+TEST(ShardSummaryJson, RejectsADecisionKeyOutsideInt32) {
+  // Once truncated to Value 1, so {"0":1,"4294967297":1} read back as 0/1.
+  expect_rejected(doc_with_decision_key("4294967297"));
+  Json doc = valid_doc();
+  Json decisions = Json::object();
+  decisions["0"] = Json(1);
+  decisions["4294967297"] = Json(1);
+  doc["decision_counts"] = std::move(decisions);
+  expect_rejected(doc);
+}
+
+TEST(ShardSummaryJson, RejectsALeadingZeroDecisionKey) {
+  // "1" and "01" once both mapped to 1, silently losing one count.
+  expect_rejected(doc_with_decision_key("01"));
+  Json doc = valid_doc();
+  Json decisions = Json::object();
+  decisions["1"] = Json(1);
+  decisions["01"] = Json(1);
+  doc["decision_counts"] = std::move(decisions);
+  expect_rejected(doc);
+}
+
+TEST(ShardSummaryJson, RejectsAPaddedOrSignedDecisionKey) {
+  for (const char* key : {" 1", "1 ", "+1", "-0", "", "-1"})
+    EXPECT_THROW((void)fabric::shard_summary_from_json(
+                     doc_with_decision_key(key)),
+                 ContractViolation)
+        << "'" << key << "'";
+}
+
+TEST(ShardSummaryJson, RejectsAFirstSeedBeyondUint64) {
+  for (const char* seed : {"99999999999999999999999", "18446744073709551616",
+                           "01", "-1", "+1", " 1", "1e3", ""}) {
+    Json doc = valid_doc();
+    doc["first_seed"] = Json(seed);
+    EXPECT_THROW((void)fabric::shard_summary_from_json(doc), ContractViolation)
+        << seed;
+  }
+  // The largest seed that still leaves room for the range is fine; one
+  // more runs the range past 2^64.
+  Json doc = valid_doc();
+  doc["first_seed"] = Json("18446744073709551606");  // 2^64 - 10, 10 runs
+  EXPECT_NO_THROW((void)fabric::shard_summary_from_json(doc));
+  doc["first_seed"] = Json("18446744073709551607");
+  expect_rejected(doc);
+}
+
+TEST(ShardSummaryJson, RejectsANonCanonicalRunDigest) {
+  for (const char* digest : {"x", "18446744073709551616", "00", ""}) {
+    Json doc = valid_doc();
+    doc["run_digest"] = Json(digest);
+    EXPECT_THROW((void)fabric::shard_summary_from_json(doc), ContractViolation)
+        << digest;
+  }
+}
+
+TEST(ShardSummaryJson, RejectsMalformedTallyBins) {
+  const auto with_steps = [](const char* bins) {
+    Json doc = valid_doc();
+    doc["tallies"]["steps_p0"] = Json::parse(bins);
+    return doc;
+  };
+  // The valid document's own bins, then every way to break them.
+  expect_rejected(with_steps("[[2,5],[2,5]]"));     // values repeat
+  expect_rejected(with_steps("[[3,5],[2,5]]"));     // values decrease
+  expect_rejected(with_steps("[[2,0],[3,10]]"));    // count below 1
+  expect_rejected(with_steps("[[2,-1],[3,11]]"));   // negative count
+  expect_rejected(with_steps("[[2,4],[3,5]]"));     // sums to 9, not 10
+  expect_rejected(with_steps("[[2,11]]"));          // sums past num_runs
+  expect_rejected(with_steps("[[2,5,1],[3,5]]"));   // not a pair
+  expect_rejected(with_steps("[2,3]"));             // not bins at all
+  expect_rejected(with_steps("[[2.5,10]]"));        // non-integral value
+  expect_rejected(with_steps("[[1e300,10]]"));      // value outside int64
+  expect_rejected(with_steps("[[2,1e300]]"));       // count outside int64
+  expect_rejected(with_steps("[[2,9223372036854775807],[3,10]]"));
+  expect_rejected(with_steps("[]"));                // empty, not the probe
+
+  // The probe tally is empty (no probe) or covers every run.
+  Json doc = valid_doc();
+  doc["tallies"]["probe"] = Json::parse("[[0,3]]");
+  expect_rejected(doc);
+  doc["tallies"]["probe"] = Json::parse("[[0,3],[9,7]]");
+  EXPECT_NO_THROW((void)fabric::shard_summary_from_json(doc));
+
+  // total_steps must be the steps tally's sum.
+  doc = valid_doc();
+  doc["total_steps"] = Json(doc.at("total_steps").as_int() + 1);
+  expect_rejected(doc);
+}
+
+TEST(ShardSummaryJson, RejectsOutOfRangeCounts) {
+  Json doc = valid_doc();
+  doc["num_runs"] = Json(1e300);
+  expect_rejected(doc);
+  doc = valid_doc();
+  doc["decided_runs"] = Json(11);
+  expect_rejected(doc);
+  doc = valid_doc();
+  doc["decision_counts"]["0"] = Json(0);
+  expect_rejected(doc);
+  doc = valid_doc();
+  doc["decision_counts"]["0"] = Json(11);
+  expect_rejected(doc);
+}
+
+TEST(ShardSummaryJson, RefusesAV1ArtifactByName) {
+  Json doc = valid_doc();
+  doc["artifact"] = Json("cilcoord.batch_summary.v1");
+  try {
+    (void)fabric::shard_summary_from_json(doc);
+    FAIL() << "a v1 document was accepted";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("batch_summary.v1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // -- the merge algebra ------------------------------------------------------
@@ -404,6 +561,29 @@ TEST(CheckpointStore, IgnoresTornShardFilesAndStrayTmp) {
   EXPECT_TRUE(store.open(config).empty());
   EXPECT_THROW((void)store.load_shard(2), ContractViolation);
   EXPECT_FALSE(store.commit_shard(2));
+}
+
+TEST(CheckpointStore, MergedRefusesAV1ShardByName) {
+  // A checkpoint directory written before the v2 schema: its committed
+  // shard must fail the merge loudly, naming v1, not be misread.
+  const std::string dir = temp_dir("ckpt_v1");
+  CheckpointStore store(dir);
+  (void)store.open(small_config());
+  ASSERT_TRUE(store.write_shard(0, compute_shard(store, 0)));
+  ASSERT_TRUE(store.commit_shard(0));
+  {
+    std::ofstream os(store.shard_path(0), std::ios::trunc);
+    os << "{\"artifact\":\"cilcoord.batch_summary.v1\",\"first_seed\":\"1\","
+          "\"num_runs\":8,\"samples\":{\"steps\":[2,2,4,2,3,2,2,5]}}\n";
+  }
+  try {
+    (void)store.merged();
+    FAIL() << "merged() read a v1 shard";
+  } catch (const ContractViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("batch_summary.v1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointStore, RefusesAForeignConfig) {

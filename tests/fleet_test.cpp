@@ -393,10 +393,13 @@ TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
   nodes.clear();  // stops every node and flushes its sink
 
   // Each transcript is line-framed JSON with the obs event schema, and node
-  // 0's opens with its round's phase event. A daemon may adopt the leader
-  // from a peer's announcement before its own automaton decides, and stop
-  // before it does; but every announced leader comes from some automaton's
-  // decision, logged after the writes and reads of its round.
+  // 0's election events open with its round's phase event. Peer liveness
+  // events (crash/recover on heartbeat misses and acks) share the
+  // transcript, and under load a peer that is slow to come up can miss two
+  // heartbeats before node 0's first round starts. A daemon may adopt the
+  // leader from a peer's announcement before its own automaton decides, and
+  // stop before it does; but every announced leader comes from some
+  // automaton's decision, logged after the writes and reads of its round.
   int deciding_lines = 0;  // longest transcript holding a decision
   for (std::size_t i = 0; i < logs.size(); ++i) {
     std::ifstream in(logs[i]);
@@ -409,7 +412,7 @@ TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
       const Json doc = Json::parse(line);  // throws on a torn line
       ASSERT_TRUE(doc.is_object());
       const std::string ev = doc.at("ev").as_string();
-      if (lines == 0) first_ev = ev;
+      if (first_ev.empty() && ev != "crash" && ev != "recover") first_ev = ev;
       if (ev == "decision") ++decisions;
       ++lines;
     }

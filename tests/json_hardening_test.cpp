@@ -2,6 +2,8 @@
 // coordination service parses attacker-controlled request lines with this
 // parser, so every failure mode here must be a clean ContractViolation, not
 // a stack overflow, an OOM, or a silently-wrong document.
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -34,6 +36,20 @@ TEST(JsonHardeningTest, NonFiniteNumbersRejected) {
                          "1e999",  "-1e999",   "[1e400]",   "{\"a\":1e309}"};
   for (const char* c : cases)
     EXPECT_THROW((void)parse_untrusted(c), ContractViolation) << c;
+}
+
+TEST(JsonHardeningTest, AsIntRejectsNumbersOutsideInt64) {
+  // A hostile num_runs or bin count: the range check must come before the
+  // double -> int64 cast, which is undefined behaviour out of range.
+  for (const char* c : {"1e300", "-1e300", "-1e19", "9223372036854775808"})
+    EXPECT_THROW((void)parse_untrusted(c).as_int(), ContractViolation) << c;
+  EXPECT_THROW((void)parse_untrusted("2.5").as_int(), ContractViolation);
+  // The edges that do fit: -2^63 exactly, and the largest double below 2^63.
+  EXPECT_EQ(parse_untrusted("-9223372036854775808").as_int(),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(parse_untrusted("9223372036854774784").as_int(),
+            9223372036854774784LL);
+  EXPECT_EQ(parse_untrusted("-42").as_int(), -42);
 }
 
 TEST(JsonHardeningTest, DuplicateObjectKeysRejected) {

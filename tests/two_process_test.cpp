@@ -100,7 +100,7 @@ TEST(TwoProcess, TerminationTailDecaysGeometrically) {
   // its own corollary E <= 2 + 4*2; see EXPERIMENTS.md.) Empirically the
   // greedy adversary achieves ~(1/2)^{k/2}, inside the bound.
   TwoProcessProtocol protocol;
-  SampleSet steps;
+  Tally steps;
   for (std::uint64_t seed = 0; seed < 4000; ++seed) {
     DecisionAvoidingAdversary adversary(seed + 17);
     const auto r = run_protocol(protocol, {0, 1}, adversary, seed, 100000);

@@ -95,7 +95,7 @@ TEST(Unbounded, Theorem9NumTailIsAtMostThreeQuarters) {
   // P[num reaches k] <= (3/4)^k. We measure the max num over the run under
   // the adversary that tries hardest to keep the race going.
   UnboundedProtocol protocol(3);
-  SampleSet max_nums;
+  Tally max_nums;
   for (std::uint64_t seed = 0; seed < 3000; ++seed) {
     SimOptions options;
     options.seed = seed;

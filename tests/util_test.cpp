@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -117,8 +121,8 @@ TEST(RunningStats, CiShrinksWithSamples) {
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
-TEST(SampleSet, PercentilesAndTail) {
-  SampleSet s;
+TEST(Tally, PercentilesAndTail) {
+  Tally s;
   for (int i = 1; i <= 100; ++i) s.add(i);
   EXPECT_EQ(s.min(), 1);
   EXPECT_EQ(s.max(), 100);
@@ -127,10 +131,12 @@ TEST(SampleSet, PercentilesAndTail) {
   EXPECT_DOUBLE_EQ(s.tail_at_least(101), 0.0);
   EXPECT_DOUBLE_EQ(s.tail_at_least(1), 1.0);
   EXPECT_DOUBLE_EQ(s.tail_at_least(51), 0.5);
+  EXPECT_EQ(s.sum(), 5050);
+  EXPECT_DOUBLE_EQ(s.mean(), 50.5);
 }
 
-TEST(SampleSet, SurvivalTable) {
-  SampleSet s;
+TEST(Tally, SurvivalTable) {
+  Tally s;
   s.add(0);
   s.add(1);
   s.add(1);
@@ -144,10 +150,147 @@ TEST(SampleSet, SurvivalTable) {
   EXPECT_DOUBLE_EQ(surv[4], 0.0);
 }
 
+TEST(Tally, BinsAreAscendingValueCountPairs) {
+  Tally t;
+  for (const std::int64_t x : {7, -3, 7, 1'000'000, 0, -3, 7}) t.add(x);
+  t.add(5000, 4);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> want = {
+      {-3, 2}, {0, 1}, {7, 3}, {5000, 4}, {1'000'000, 1}};
+  EXPECT_EQ(t.bins(), want);
+  EXPECT_EQ(t.count(), 11);
+  EXPECT_TRUE(Tally().bins().empty());
+  EXPECT_DOUBLE_EQ(Tally().tail_at_least(0), 0.0);
+}
+
+TEST(Tally, EqualityDependsOnlyOnTheMultiset) {
+  // a's dense bins grow to hold 1000; b's only to hold 2, with 1000 still
+  // counted in the same bins once added. Same multiset, different growth.
+  Tally a, b;
+  a.add(1000);
+  a.add(2);
+  b.add(2);
+  EXPECT_FALSE(a == b);
+  b.add(1000);
+  EXPECT_TRUE(a == b);
+  // Grown-but-empty bins do not count: merging an empty tally changes
+  // nothing, and neither does a merge that only widens the dense bins.
+  Tally small;
+  small.add(2);
+  Tally widened = small;
+  widened.merge(Tally());
+  EXPECT_TRUE(widened == small);
+  Tally wide;
+  wide.add(900);
+  Tally other_order = wide;
+  other_order.merge(small);
+  Tally same;
+  same.add(2);
+  same.add(900);
+  EXPECT_TRUE(other_order == same);
+  small.add(-5);
+  EXPECT_FALSE(small == widened);
+}
+
+TEST(Tally, MatchesABruteForceSortedVector) {
+  // Mixed magnitudes: dense small values, negatives, and values near the
+  // int64 limits (the sparse path), against order statistics of a sorted
+  // copy.
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    Tally t;
+    std::vector<std::int64_t> v;
+    const int n = 1 + static_cast<int>(rng.below(400));
+    for (int i = 0; i < n; ++i) {
+      std::int64_t x = 0;
+      switch (rng.below(4)) {
+        case 0: x = static_cast<std::int64_t>(rng.below(40)); break;
+        case 1: x = -static_cast<std::int64_t>(rng.below(1000)); break;
+        case 2: x = static_cast<std::int64_t>(rng.below(100'000)); break;
+        default:
+          x = static_cast<std::int64_t>(rng.bits() >> 1) *
+              (rng.flip() ? 1 : -1);
+      }
+      t.add(x);
+      v.push_back(x);
+    }
+    std::sort(v.begin(), v.end());
+    const auto size = static_cast<double>(v.size());
+    ASSERT_EQ(t.count(), n);
+    EXPECT_EQ(t.min(), v.front());
+    EXPECT_EQ(t.max(), v.back());
+    long double sum = 0, magnitude = 0;
+    for (const std::int64_t x : v) {
+      sum += static_cast<long double>(x);
+      magnitude += std::fabs(static_cast<long double>(x));
+    }
+    EXPECT_NEAR(t.mean(), static_cast<double>(sum / n),
+                1e-12 * std::max(1.0, static_cast<double>(magnitude / n)));
+    for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+      std::size_t rank =
+          static_cast<std::size_t>(std::ceil(q * size));
+      if (rank > 0) --rank;
+      if (rank >= v.size()) rank = v.size() - 1;
+      EXPECT_EQ(t.percentile(q), v[rank]) << "q=" << q;
+    }
+    std::vector<std::int64_t> ks = {0, 1, 5, 39, 40, -1, -999};
+    for (int i = 0; i < 5; ++i) ks.push_back(v[rng.below(v.size())]);
+    for (const std::int64_t k : ks) {
+      const auto at_least =
+          v.end() - std::lower_bound(v.begin(), v.end(), k);
+      EXPECT_DOUBLE_EQ(t.tail_at_least(k),
+                       static_cast<double>(at_least) / size)
+          << "k=" << k;
+    }
+    const auto surv = t.survival(45);
+    for (std::int64_t k = 0; k <= 45; ++k)
+      EXPECT_DOUBLE_EQ(surv[static_cast<std::size_t>(k)], t.tail_at_least(k));
+  }
+}
+
+TEST(Tally, MergeIsCommutativeAndAssociative) {
+  Rng rng(7);
+  const auto random_tally = [&rng] {
+    Tally t;
+    for (int i = 0; i < 300; ++i) {
+      const std::int64_t x = rng.flip()
+                                 ? static_cast<std::int64_t>(rng.below(64))
+                                 : static_cast<std::int64_t>(rng.bits());
+      t.add(x);
+    }
+    return t;
+  };
+  const Tally a = random_tally(), b = random_tally(), c = random_tally();
+  const auto merged = [](Tally x, const Tally& y) {
+    x.merge(y);
+    return x;
+  };
+  EXPECT_EQ(merged(a, b), merged(b, a));
+  EXPECT_EQ(merged(merged(a, b), c), merged(a, merged(b, c)));
+  EXPECT_EQ(merged(a, Tally()), a);
+  EXPECT_EQ(merged(merged(a, b), c).count(), 900);
+  // The merge is the multiset union: the same values added one by one.
+  Tally one_by_one = a;
+  for (const auto& [value, count] : b.bins())
+    for (std::int64_t i = 0; i < count; ++i) one_by_one.add(value);
+  EXPECT_EQ(merged(a, b), one_by_one);
+  EXPECT_EQ(merged(a, b).bins(), one_by_one.bins());
+}
+
+TEST(Tally, SumIsExactAndOverflowIsAContractViolation) {
+  Tally t;
+  t.add(std::numeric_limits<std::int64_t>::max());
+  t.add(-5);
+  EXPECT_EQ(t.sum(), std::numeric_limits<std::int64_t>::max() - 5);
+  t.add(10);
+  EXPECT_THROW((void)t.sum(), ContractViolation);
+  // The mean stays exact past int64: (2^63 - 1 + 5) / 3.
+  EXPECT_DOUBLE_EQ(t.mean(), 9223372036854775812.0 / 3.0);
+}
+
 TEST(Stats, GeometricTailFitRecoversRatio) {
   // Sample a geometric distribution with ratio 0.75 (Theorem 9's bound).
   Rng rng(42);
-  SampleSet s;
+  Tally s;
   for (int i = 0; i < 200000; ++i) {
     std::int64_t k = 0;
     while (rng.with_probability(0.75)) ++k;
@@ -155,16 +298,6 @@ TEST(Stats, GeometricTailFitRecoversRatio) {
   }
   const double r = fit_geometric_tail_ratio(s);
   EXPECT_NEAR(r, 0.75, 0.03);
-}
-
-TEST(Histogram, CountsAndAscii) {
-  Histogram h;
-  h.add(1);
-  h.add(1);
-  h.add(2);
-  EXPECT_EQ(h.total(), 3);
-  const std::string art = h.ascii(10);
-  EXPECT_NE(art.find('#'), std::string::npos);
 }
 
 TEST(BitField, PackUnpack) {

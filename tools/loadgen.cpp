@@ -143,7 +143,7 @@ class Fleet {
   std::int64_t churn_kills = 0;
   std::int64_t finished = 0;
   std::int64_t connects = 0;
-  SampleSet latency_us;
+  Tally latency_us;
 
  private:
   bool start_connect(Conn& c);
@@ -677,7 +677,7 @@ int run_fleet_mode(const Config& cfg) {
   const std::vector<std::string> pid_files = split_csv(cfg.kill_pids_csv);
   Xoshiro256 kill_rng(SplitMix64(cfg.kill_seed).next());
 
-  SampleSet latency_us;
+  Tally latency_us;
   std::int64_t kills = 0, attempts = 0, completed = 0;
   std::string last_summary;
   const auto t0 = Clock::now();

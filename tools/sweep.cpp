@@ -237,7 +237,7 @@ std::uint64_t chaos_stream_seed(const Args& args, int shard, int attempt) {
   return sm.next();
 }
 
-/// Artifact written to --out: the merged summary in batch_summary.v1 form
+/// Artifact written to --out: the merged summary in batch_summary.v2 form
 /// plus a "sweep" object describing how it was produced (fleet shape,
 /// retries, and any gaps — so a partial result is never mistaken for a
 /// complete one).
@@ -441,9 +441,10 @@ int run_fleet(const Args& args) {
       fabric::run_supervised(tasks, sup, store, worker);
 
   const fabric::SweepSummary merged = store.merged();
-  // Shard summaries travel as batch_summary.v1 (schema unchanged), so the
-  // driver recomputes the width its workers ran at: same binary, same
-  // protocol, same options — the probe resolves identically in-process.
+  // Shard summaries do not record the SIMD width (it is not part of the
+  // batch_summary.v2 schema), so the supervising process recomputes the
+  // width its workers ran at: same binary, same protocol, same options —
+  // the probe resolves identically in-process.
   const int simd_width = sweep_simd_width(args, *protocol, plan_ptr);
   if (!ensure_out_dir(args.out) ||
       !obs::write_text_file_atomic(
