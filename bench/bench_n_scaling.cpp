@@ -97,7 +97,7 @@ int main() {
     whole_sweep.add_steps(rb.total_steps);
 
     // The identical random sweep armed by a LaneSchedSpec instead of a
-    // factory. The SoA kernel is two-process-only, so every run here takes
+    // factory. The lockstep kernel is two-process-only, so every run here takes
     // the lane engine's per-seed path — the row pins that the spec costs
     // nothing where the kernel cannot engage. Capped at n <= 256 (the
     // historical 5M-step region) to stay inside the CI smoke budget.

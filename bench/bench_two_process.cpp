@@ -93,7 +93,7 @@ Tally measure(const TwoProcessProtocol& protocol, const char* scheduler_name,
 // The same sweeps armed by a LaneSchedSpec instead of a factory, which
 // lets the lane engine pick its kernel. The BatchSummary is bit-identical
 // to measure()'s (pinned by batch_test's BatchLane suite), so only the
-// rate changes — the random sweep takes the SoA kernel, the adversary
+// rate changes — the random sweep takes the lockstep kernel, the adversary
 // sweep the per-seed path (its rate shows the spec costs nothing when the
 // kernel can't engage).
 void measure_lane(const TwoProcessProtocol& protocol,
@@ -120,10 +120,10 @@ void measure_lane(const TwoProcessProtocol& protocol,
 
 // X14's crash series: the random sweep under a shared crash/recovery plan
 // (P0 crashes at its 2nd step, recovers 8 ticks later), measured on both
-// of the lane engine's paths. Its lockstep kernel serves the plan through
-// per-lane fault cursors — summaries stay bit-identical to the per-seed
+// of the lane engine's paths. Its bitsliced lockstep kernel serves the plan
+// through its fault planes — summaries stay bit-identical to the per-seed
 // path (BatchLane.FaultSweepBitIdentity), so the lane_us_per_run /
-// us_per_run ratio is the fault kernel's speedup.
+// us_per_run ratio is the kernel's speedup under faults.
 void measure_crash_series(const TwoProcessProtocol& protocol,
                           BenchReport& report) {
   fault::FaultPlan plan;

@@ -84,9 +84,9 @@ class TwoProcessProtocol final : public Protocol {
     return w == 0 ? kNoValue : static_cast<Value>(w - 1);
   }
 
-  /// Default mode is exactly the automaton the lane engine's SoA kernel
-  /// implements; preinitialized mode changes the codec and the initial pc,
-  /// so it diverges to the scalar path.
+  /// Default mode is exactly the automaton the lane engine's lockstep
+  /// kernel implements; preinitialized mode changes the codec and the
+  /// initial pc, so it diverges to the scalar path.
   bool lane_soa_two_process() const override {
     return !options_.preinitialized_registers;
   }

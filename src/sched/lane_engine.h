@@ -1,17 +1,17 @@
 // The lane-parallel engine: W independent seeds advancing in lockstep.
 //
 // A sweep's runs share everything except their seed, so one core can carry W
-// of them at once in structure-of-arrays form: register words live in a
-// LaneRegisterFile (`value[reg][lane]`), the per-lane PRNG states are SoA
-// word arrays stepped by the same xoshiro256** recurrence as util/rng.h,
-// liveness/decision state is a bitmask per lane, and the set of lanes still
-// hosting a run is one word-wide mask the round loop walks with countr_zero.
-// Scheduling picks, permission checks, and property bookkeeping cost no
-// per-lane branching on the common path: the random pick is an arithmetic
-// select over the lane's active mask, register-access permissions and
-// widths are validated once at setup (word-wide, per site — the registers
-// and access sites are the same in every lane), and the consistency /
-// nontriviality checks trigger only on decision events.
+// of them at once. The lockstep kernel bitslices the whole Figure 1
+// automaton: every per-lane field (pc, preference, register word, decision,
+// liveness, fault state) is one bit in a 64-bit plane, bit l = lane l, so a
+// round is a few dozen word-wide boolean ops for all W lanes together. Only
+// the per-lane PRNG states stay in column form, SoA word arrays stepped by
+// the same xoshiro256** recurrence as util/rng.h; per-process step counts
+// are vertical bit-plane counters, and the set of lanes still hosting a run
+// is one word-wide mask. Register-access permissions and widths are
+// validated once at setup (the registers and access sites are the same in
+// every lane), and the consistency / nontriviality checks run only on
+// decision events.
 //
 // The contract that keeps the speedup honest is BIT-IDENTITY: every lane
 // produces exactly the run a scalar `Simulation` with the same seed and an
@@ -19,22 +19,23 @@
 // word per step including single-active picks, coin words only at
 // coin-flip steps), same schedule, decisions, step counts, recoveries, and
 // max_register_bits. engine_golden_test pins this per lane over the whole
-// golden corpus at W in {1,4,8}.
+// golden corpus at W in {1,4,8,64}, on the same kernel sweeps run.
 //
-// The SoA kernel serves the hot case: TwoProcessProtocol (default mode)
-// under uniformly random scheduling with no observation sink. Everything
-// else — adaptive adversaries, other protocols, observed runs, probed
-// runs, caller-supplied schedulers, custom rigs — DIVERGES to the per-seed
-// path: one pooled Simulation per engine, reset per seed and run against a
-// real Scheduler, so divergent lanes are bit-identical by construction
-// rather than by reimplementation. It is the only per-seed loop a sweep
-// has: BatchRunner runs every shard through a LaneEngine.
+// The lockstep kernel serves the hot case: TwoProcessProtocol (default
+// mode) with binary inputs under uniformly random scheduling, with no
+// observation sink and a step budget of at least 1. Everything else —
+// adaptive adversaries, other protocols, wider input domains, observed
+// runs, probed runs, caller-supplied schedulers, custom rigs — DIVERGES to
+// the per-seed path: one pooled Simulation per engine, reset per seed and
+// run against a real Scheduler, so divergent lanes are bit-identical by
+// construction rather than by reimplementation. It is the only per-seed
+// loop a sweep has: BatchRunner runs every shard through a LaneEngine.
 // `soa_supported()` reports which path a configuration takes; sweeps need
 // not care.
 //
-// Two dimensions of the kernel are decided per run() call:
+// Three dimensions of the kernel are decided per run() call:
 //
-//  * SIMD WIDTH. The round loop batch-advances all W lanes' xoshiro256**
+//  * SIMD WIDTH. The round loop batch-advances the W lanes' xoshiro256**
 //    scheduler states (and, masked, the coin states of the lanes about to
 //    flip) through util/simd.h's u64x<N> kernels — N in {1, 2, 4} compiled
 //    into every binary, the widest CPU-supported one picked at runtime
@@ -43,16 +44,20 @@
 //    updates, so bit-identity holds at every (W, N) combination.
 //
 //  * FAULTS. A LaneRunOptions::fault_plan brings crash/recovery sweeps
-//    into the lanes: each lane carries its own cursors over the shared
-//    plan (pending-crash flag, armed/consumed recovery-event masks, due
-//    steps), crash masks fold into the lane's liveness word, and recovery
-//    applies the protocol's conservative re-read (persisted own word; ⊥ →
-//    cold restart) — the exact event semantics of FaultPlanScheduler +
-//    Simulation::crash/recover, including idle clock ticks while every
-//    live processor is done but a restart is still due. Plans the kernel
-//    cannot represent (stalls, word faults, multi-crash, non-conservative
-//    recovery protocols) diverge to the per-seed path, which wraps each
-//    seed's scheduler in a real FaultPlanScheduler.
+//    into the lanes. The plan's one crash and its victim's one recovery
+//    become four planes (crash pending, victim crashed, recovery armed,
+//    recovered) plus a per-lane due round; each round opens with the plan's
+//    events in step_once order, and recovery applies the protocol's
+//    conservative re-read (persisted own word; ⊥ → cold restart) — the
+//    exact event semantics of FaultPlanScheduler + Simulation::crash /
+//    recover, including idle clock ticks while every live processor is
+//    done but a restart is still due. Plans the kernel cannot represent
+//    (stalls, word faults, multi-crash, a second recovery of the victim,
+//    non-conservative recovery protocols) diverge to the per-seed path,
+//    which wraps each seed's scheduler in a real FaultPlanScheduler.
+//
+//  * SCHEDULE RECORDING. With record_schedule, each stepping lane appends
+//    its pick to its own schedule; the sweep path compiles without it.
 #pragma once
 
 #include <atomic>
@@ -62,7 +67,6 @@
 #include <vector>
 
 #include "fault/fault_plan.h"
-#include "registers/lane_register_file.h"
 #include "sched/simulation.h"
 
 namespace cil {
@@ -73,7 +77,7 @@ namespace cil {
 /// factories every sweep in this repo uses.
 struct LaneSchedSpec {
   enum class Kind {
-    kRandom,  ///< RandomScheduler(seed ^ seed_xor) — SoA-eligible
+    kRandom,  ///< RandomScheduler(seed ^ seed_xor) — lockstep-eligible
     kAvoid,   ///< DecisionAvoidingAdversary(seed + seed_add) — scalar path
   };
   Kind kind = Kind::kRandom;
@@ -117,8 +121,8 @@ struct LaneRunOptions {
   /// if any, still wraps what it returns.
   SchedulerProvider scheduler;
   /// Called on the pooled Simulation after each run; the value is reported
-  /// as LaneRunView::probe. Takes the per-seed path (the SoA lanes have no
-  /// Simulation to hand it). Must be thread-safe: BatchRunner's workers
+  /// as LaneRunView::probe. Takes the per-seed path (the lockstep lanes have
+  /// no Simulation to hand it). Must be thread-safe: BatchRunner's workers
   /// share one.
   RunProbe probe;
   /// Custom scalar runner for rigs a scheduler cannot express (per-seed
@@ -127,8 +131,8 @@ struct LaneRunOptions {
   /// harvesting loop. Must be a pure function of the seed. Excludes
   /// `scheduler`, `probe` and `fault_plan`: it owns its whole rig.
   std::function<SimResult(std::uint64_t seed)> scalar_run;
-  /// Observation forces the scalar fallback for all lanes (the SoA kernel
-  /// has no event stream), so an observed lane run emits exactly the
+  /// Observation forces the scalar fallback for all lanes (the lockstep
+  /// kernel has no event stream), so an observed lane run emits exactly the
   /// scalar engine's stream — including the kActiveSet counter samples.
   obs::ObsOptions obs;
   /// Optional cooperative cancellation, polled when a finished lane would
@@ -137,14 +141,14 @@ struct LaneRunOptions {
   const std::atomic<bool>* cancel = nullptr;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// runs. Representable plans (crash/recovery only — see the header
-  /// comment) run on the SoA fault kernel; the rest take the per-seed
+  /// comment) run on the lockstep kernel; the rest take the per-seed
   /// path, which wraps each seed's scheduler in a FaultPlanScheduler (plus
   /// SimRegisterFaults when the plan carries word-fault rates), keyed by
   /// the plan's own seed so every run sees the same fault stream.
   /// Borrowed; must outlive run().
   const fault::FaultPlan* fault_plan = nullptr;
-  /// SIMD width for the SoA kernels: 0 picks the widest compiled width the
-  /// CPU supports (downgradable via $CIL_SIMD_WIDTH); 1/2/4 force that
+  /// SIMD width for the lockstep kernel: 0 picks the widest compiled width
+  /// the CPU supports (downgradable via $CIL_SIMD_WIDTH); 1/2/4 force that
   /// width, clamped to what this process can execute. Results are
   /// bit-identical at every width — the knob exists for the golden-matrix
   /// tests and for pinning cross-width artifact comparisons.
@@ -183,11 +187,11 @@ class LaneEngine {
   LaneEngine(const Protocol& protocol, std::vector<Value> inputs);
   ~LaneEngine();
 
-  /// True iff (protocol, options) take the SoA lockstep kernel; false means
+  /// True iff (protocol, options) take the lockstep kernel; false means
   /// run() still works, through the per-seed path.
   bool soa_supported(const LaneRunOptions& options) const;
 
-  /// The SIMD width the SoA kernels will run at under `options` — after the
+  /// The SIMD width the lockstep kernel will run at under `options` — after the
   /// simd_width/$CIL_SIMD_WIDTH override and the runtime CPU clamp — or 1
   /// when the configuration takes the per-seed path (scalar math IS the
   /// width-1 kernel). What BatchSummary::simd_width reports.
@@ -212,21 +216,17 @@ class LaneEngine {
   std::int64_t failed_run_index() const { return failed_run_index_; }
 
  private:
-  struct Soa;  // the SoA lane state block (lane_engine.cpp)
+  struct Soa;  // the kernel's per-lane PRNG columns (lane_engine.cpp)
 
   bool run_soa(std::uint64_t first_seed, std::int64_t num_runs,
                const LaneRunOptions& options, const LaneHarvest& harvest);
-  /// The kernel proper, specialized at compile time on whether the pid
-  /// schedule is recorded (the bench path carries no push_back code) and
-  /// on whether a fault plan is armed (the fault-free path carries no
-  /// event-cursor code at all).
+  /// The lockstep kernel: the whole Figure 1 automaton bitsliced to one bit
+  /// per lane in 64-bit planes, so a round costs a few dozen word-wide
+  /// boolean ops for all W lanes together. Specialized at compile time on
+  /// whether the pid schedule is recorded (the sweep path carries no
+  /// push_back code) and on whether a fault plan is armed (the fault-free
+  /// path carries no fault planes and no per-round event phase).
   template <bool kRecordSchedule, bool kFaults>
-  bool run_soa_impl(std::uint64_t first_seed, std::int64_t num_runs,
-                    const LaneRunOptions& options, const LaneHarvest& harvest);
-  /// The throughput kernel for the hot sweep shape (no schedule recording,
-  /// no faults, binary inputs): the whole automaton state bitsliced to one
-  /// bit per lane in 64-bit planes, so a round costs a few dozen word-wide
-  /// boolean ops for all W lanes together. Bit-identical to run_soa_impl.
   bool run_soa_sliced(std::uint64_t first_seed, std::int64_t num_runs,
                       const LaneRunOptions& options,
                       const LaneHarvest& harvest);
@@ -235,7 +235,7 @@ class LaneEngine {
 
   const Protocol& protocol_;
   std::vector<Value> inputs_;
-  bool two_process_default_mode_ = false;  ///< SoA kernel precondition
+  bool two_process_default_mode_ = false;  ///< lockstep kernel precondition
   std::unique_ptr<Soa> soa_;               ///< lazily sized to options.lanes
   std::int64_t failed_run_index_ = -1;
 };

@@ -77,7 +77,7 @@ class Protocol {
   }
 
   /// True iff this protocol is the default-mode Figure 1 two-processor
-  /// automaton that the lane engine's SoA lockstep kernel reimplements
+  /// automaton that the lane engine's lockstep kernel reimplements
   /// (sched/lane_engine.cpp): ⊥ = 0 / value v = v+1 register codec,
   /// write-input → read-decide → coin-write program. Protocols answering
   /// true promise bit-identical semantics to that kernel; everything else
@@ -87,7 +87,7 @@ class Protocol {
   virtual bool lane_soa_two_process() const { return false; }
 
   /// True iff this protocol's recover() is the conservative re-read the
-  /// lane engine's fault kernel implements for lane_soa_two_process()
+  /// lane engine's lockstep kernel implements for lane_soa_two_process()
   /// protocols: decode the persisted own-register word; ⊥ means a cold
   /// restart (the initial write never landed), anything else resumes at
   /// the read step with the decoded preference. Protocols with modified
@@ -110,8 +110,9 @@ class Protocol {
   }
 
   /// The shared static description behind make_registers, for callers that
-  /// replicate storage themselves (LaneRegisterFile columns). Same lazy
-  /// build, same thread-safety caveat.
+  /// validate register access without a RegisterFile (the lane engine's
+  /// setup-time permission and width checks). Same lazy build, same
+  /// thread-safety caveat.
   std::shared_ptr<const RegisterSpecTable> shared_spec_table() const {
     if (spec_table_ == nullptr)
       spec_table_ = std::make_shared<const RegisterSpecTable>(registers());

@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -499,7 +500,7 @@ SchedulerFactory avoid_factory(std::uint64_t add) {
 }
 
 TEST(BatchLane, RandomTwoProcessMatchesScalarEngine) {
-  // The SoA kernel path: TwoProcessProtocol under the random spec, against
+  // The lockstep kernel: TwoProcessProtocol under the random spec, against
   // the per-seed path a factory forces. Same BatchSummary, sample for
   // sample.
   TwoProcessProtocol protocol;
@@ -520,8 +521,8 @@ TEST(BatchLane, RandomTwoProcessMatchesScalarEngine) {
 }
 
 TEST(BatchLane, FallbackPathsMatchScalarEngine) {
-  // Configurations the SoA kernel cannot serve — a three-process protocol,
-  // and the adaptive adversary — must flow through the lane engine's
+  // Configurations the lockstep kernel cannot serve — a three-process
+  // protocol, and the adaptive adversary — must flow through the lane engine's
   // per-seed path from the spec and still reduce identically.
   {
     UnboundedProtocol protocol(3);
@@ -607,9 +608,9 @@ TEST(BatchLane, RunHookSeesEverySeedExactlyOnce) {
 TEST(BatchLane, FaultSweepBitIdentity) {
   // A shared crash/recovery plan on both paths: the per-seed path wraps the
   // factory's scheduler in a FaultPlanScheduler per seed, the lockstep
-  // kernel runs per-lane fault cursors — and the summaries must be
-  // bit-identical. 4 threads x 8 lanes so the TSan CI arm pins the fault
-  // cursors' data-race freedom too.
+  // kernel runs its fault planes — and the summaries must be bit-identical.
+  // 4 threads x 8 lanes so the TSan CI arm pins the fault arm's data-race
+  // freedom too.
   fault::FaultPlan plan;
   plan.crashes.push_back({0, 2});
   plan.recoveries.push_back({0, 8});
@@ -633,10 +634,76 @@ TEST(BatchLane, FaultSweepBitIdentity) {
   expect_equal_summaries(scalar, lane);
 
   // And the lane reduction itself is thread/lane-count invariant under the
-  // plan: the per-lane fault cursors cannot leak across shard boundaries.
+  // plan: the per-lane fault state cannot leak across shard boundaries.
   opts.threads = 1;
   opts.lanes = 1;
   expect_equal_summaries(lane, batch.run(opts, nullptr));
+}
+
+TEST(BatchLane, LockstepKernelMatchesPerSeedPathOnPlanEdges) {
+  // The lockstep kernel against the per-seed path (the kScalar hook), whole
+  // summary for whole summary, over the edges of what the kernel serves:
+  // no plan, or a crash of either pid at own step 0, 1, 2 or 5 with no
+  // recovery, a recovery of the victim after 0, 1, 8 or 48 global steps,
+  // or a recovery of the other pid (which never arms); step budgets from
+  // below 1 (Simulation::run takes no step at all) up to INT64_MAX (no
+  // lane's due round may wrap); all four binary input pairs; and W from
+  // one lane to a full 64-lane word, with more seeds than lanes so every
+  // width refills.
+  std::vector<std::optional<fault::FaultPlan>> plans = {std::nullopt};
+  for (const ProcessId victim : {0, 1}) {
+    for (const std::int64_t at : {0, 1, 2, 5}) {
+      fault::FaultPlan crash;
+      crash.crashes.push_back({victim, at});
+      plans.push_back(crash);
+      for (const std::int64_t delay : {0, 1, 8, 48}) {
+        fault::FaultPlan p = crash;
+        p.recoveries.push_back({victim, delay});
+        plans.push_back(p);
+      }
+      fault::FaultPlan other = crash;
+      other.recoveries.push_back({1 - victim, 8});
+      plans.push_back(other);
+    }
+  }
+
+  const std::int64_t budgets[] = {
+      -1, 0, 1, 2, 7, 1'000'000, std::numeric_limits<std::int64_t>::max()};
+
+  TwoProcessProtocol protocol;
+  for (const Value in0 : {0, 1}) {
+    for (const Value in1 : {0, 1}) {
+      BatchRunner batch(protocol, {in0, in1});
+      LaneEngine engine(protocol, {in0, in1});
+      for (const std::optional<fault::FaultPlan>& plan : plans) {
+        for (const std::int64_t budget : budgets) {
+          BatchOptions opts;
+          opts.first_seed = 1;
+          opts.num_runs = 80;
+          opts.max_total_steps = budget;
+          opts.fault_plan = plan ? &*plan : nullptr;
+          opts.engine = BatchEngine::kScalar;
+          const BatchSummary scalar = batch.run(opts, nullptr);
+          opts.engine = BatchEngine::kLane;
+
+          // Every plan here fits the kernel, so the grid is not vacuous;
+          // only a budget below 1 must leave it for the per-seed path.
+          LaneRunOptions lo;
+          lo.max_total_steps = budget;
+          lo.fault_plan = opts.fault_plan;
+          EXPECT_EQ(engine.soa_supported(lo), budget >= 1);
+          for (const int lanes : {1, 3, 8, 64}) {
+            SCOPED_TRACE(testing::Message()
+                         << "inputs {" << in0 << "," << in1 << "} plan "
+                         << (plan ? plan->serialize() : "none") << " budget "
+                         << budget << " W=" << lanes);
+            opts.lanes = lanes;
+            expect_equal_summaries(scalar, batch.run(opts, nullptr));
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchLane, ProbedSweepMatchesFreshSimulations) {
@@ -708,7 +775,7 @@ TEST(BatchLane, ReportsSimdWidth) {
   // A factory's runs take the per-seed path: no vector kernel runs.
   EXPECT_EQ(batch.run(opts, random_factory(0x1234)).simd_width, 1);
 
-  // The SoA path reports the host's active width.
+  // The lockstep kernel reports the host's active width.
   EXPECT_EQ(batch.run(opts, nullptr).simd_width, simd::active_width());
 
   // The kScalar test hook forces the same spec onto the per-seed path.

@@ -159,12 +159,13 @@ std::string replay_case(const std::string& name, std::uint64_t seed) {
 }
 
 /// Lane-engine options that reproduce a golden case: the built-in spec
-/// kinds for random/adversary lines (exercising the SoA kernel for
-/// two/random and the pooled-scheduler fallback for the rest), a shared
-/// FaultPlan for the two/crashrec* lines (exercising the SoA fault
-/// kernel's crash/recovery cursors), and a custom scalar_run for the
-/// exotic rigs (split adversary, register faults, multi-process fault
-/// plans) — exercising the kCustom divergence arm.
+/// kinds for random/adversary lines (exercising the bitsliced lockstep
+/// kernel for two/random and the pooled-scheduler fallback for the rest), a
+/// shared FaultPlan for the two/crashrec* lines (exercising the lockstep
+/// kernel's fault planes), and a custom scalar_run for the exotic rigs
+/// (split adversary, register faults, multi-process fault plans) —
+/// exercising the kCustom divergence arm. Every line records its schedule,
+/// so the lockstep kernel runs its <kRecordSchedule = true> arms here.
 LaneRunOptions lane_case_options(const std::string& name, int lanes) {
   const std::string kind = name.substr(name.find('/') + 1);
   LaneRunOptions lo;
@@ -207,16 +208,16 @@ TEST(EngineGolden, ReplaysEveryCorpusLineBitForBit) {
 }
 
 // The lane-vs-scalar pin: every corpus case, run through the lane engine at
-// W in {1, 4, 8} and every compiled-in SIMD width this host can execute,
-// produces byte-identical formatted runs per lane — total steps,
+// W in {1, 4, 8, 64} and every compiled-in SIMD width this host can
+// execute, produces byte-identical formatted runs per lane — total steps,
 // recoveries, max register bits, decisions, and the exact schedule —
 // against a freshly-built scalar Simulation of the same seed. Each width
-// sweeps more runs than lanes, so the SoA kernel's harvest-and-refill path
-// (a finished lane reloading the next seed mid-round) is pinned too, and
-// every divergence arm is exercised: two/random takes the SoA kernel,
-// two/crashrec* the SoA fault kernel, adversary lines the
-// pooled-scheduler fallback, the exotic rigs the custom scalar_run
-// fallback.
+// sweeps more runs than lanes, so the lockstep kernel's harvest-and-refill
+// path (a finished lane reloading the next seed mid-round) is pinned too,
+// up to plane bit 63 at W = 64, and every divergence arm is exercised:
+// two/random takes the bitsliced lockstep kernel, two/crashrec* its fault
+// arm, adversary lines the pooled-scheduler fallback, the exotic rigs the
+// custom scalar_run fallback.
 TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
   std::ifstream is(CIL_GOLDENS_PATH);
   ASSERT_TRUE(is) << "cannot open " << CIL_GOLDENS_PATH;
@@ -238,7 +239,7 @@ TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
     ASSERT_NE(protocol, nullptr) << name;
     const std::vector<Value> inputs = case_inputs(proto);
 
-    for (const int lanes : {1, 4, 8}) {
+    for (const int lanes : {1, 4, 8, 64}) {
       LaneEngine engine(*protocol, inputs);
       const bool soa = engine.soa_supported(lane_case_options(name, lanes));
       if (soa) {
@@ -270,9 +271,9 @@ TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
       }
     }
   }
-  // two/random lines take the SoA kernel, two/crashrec* its fault arm, and
-  // everything else a fallback arm. All three must appear, or the pin is
-  // vacuous.
+  // two/random lines take the lockstep kernel, two/crashrec* its fault arm,
+  // and everything else a fallback arm. All three must appear, or the pin
+  // is vacuous.
   EXPECT_GT(soa_cases, 0);
   EXPECT_GT(fault_soa_cases, 0);
   EXPECT_GT(fallback_cases, 0);

@@ -119,7 +119,7 @@ int main() {
   // Two-process crash/recovery plans in the lane-representable subset (one
   // crash, one matching recovery, no stalls or register faults): the same
   // lines replay through BOTH engines in engine_golden_test, pinning the
-  // vectorized fault kernel against the scalar event loop.
+  // bitsliced lockstep kernel's fault arm against the scalar event loop.
   TwoProcessProtocol two;
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     fault::FaultPlan plan;

@@ -28,7 +28,8 @@
 //                           the checkpoint identity: resuming a directory
 //                           under a different plan is refused.
 //   --seeds=<count>         (default 200)     --first-seed=<s> (default 1)
-//   --steps=<per-run cap>   (default 1000000) --check-every=<k> (default 1)
+//   --steps=<per-run cap, >= 1>  (default 1000000)
+//   --check-every=<k>       (default 1)
 //   --shard-size=<runs>     (default 0: seeds / (4 * workers), min 1)
 //   --workers=<procs>       (default 2)
 //   --threads=<per-worker BatchRunner threads> (default 1)
@@ -45,9 +46,9 @@
 //   --verbose
 //
 // Every shard runs through BatchRunner's lane engine. Figure 1 under random
-// scheduling takes its lockstep kernels (bitsliced when fault-free, the
-// column kernel under a representable crash/recovery plan); everything
-// else takes its per-seed path. Summaries are bit-identical either way.
+// scheduling takes its bitsliced lockstep kernel, fault-free or under a
+// representable crash/recovery plan; everything else takes its per-seed
+// path. Summaries are bit-identical either way.
 //
 // Exit codes: 0 complete (and verified, when asked); 1 verification
 // mismatch; 2 usage/config error; 3 sweep incomplete (budget exhausted).
@@ -139,9 +140,9 @@ bool parse(int argc, char** argv, Args& args) {
   flags.take_string("verify-against", args.verify_against);
   args.verbose = flags.take_switch("verbose");
   if (!flags.finish()) return false;
-  if (args.seeds < 1 || args.workers < 1 || args.threads < 0 ||
-      args.retries < 0 || args.shard_size < 0 || args.chaos_kill_prob < 0.0 ||
-      args.chaos_kill_prob > 1.0) {
+  if (args.seeds < 1 || args.steps < 1 || args.workers < 1 ||
+      args.threads < 0 || args.retries < 0 || args.shard_size < 0 ||
+      args.chaos_kill_prob < 0.0 || args.chaos_kill_prob > 1.0) {
     std::fprintf(stderr, "sweep: flag value out of range\n");
     return false;
   }
@@ -172,10 +173,13 @@ std::unique_ptr<Protocol> make_protocol(const Args& args) {
   return nullptr;
 }
 
-fabric::SweepConfig make_config(const Args& args, std::int64_t shard_size) {
+/// The sweep's checkpoint identity. It records the protocol's real process
+/// count: --n only sizes `unbounded`, and `two`/`bounded` fix their own.
+fabric::SweepConfig make_config(const Args& args, const Protocol& protocol,
+                                std::int64_t shard_size) {
   fabric::SweepConfig config;
   config.protocol = args.protocol;
-  config.num_processes = args.n;
+  config.num_processes = protocol.num_processes();
   config.scheduler = args.adversary;
   config.range = {args.first_seed, args.seeds};
   config.shard_size = shard_size;
@@ -364,7 +368,7 @@ int run_serial(const Args& args) {
   fabric::SweepSummary merged;
   merged.add(whole);
   const fabric::SweepConfig config =
-      make_config(args, std::max<std::int64_t>(args.seeds, 1));
+      make_config(args, *protocol, std::max<std::int64_t>(args.seeds, 1));
   if (!ensure_out_dir(args.out) ||
       !obs::write_text_file_atomic(
           args.out, sweep_artifact_json(config, merged, nullptr, 1,
@@ -394,7 +398,7 @@ int run_fleet(const Args& args) {
           ? args.shard_size
           : std::max<std::int64_t>(
                 1, args.seeds / (4 * static_cast<std::int64_t>(args.workers)));
-  const fabric::SweepConfig config = make_config(args, shard_size);
+  const fabric::SweepConfig config = make_config(args, *protocol, shard_size);
 
   fabric::CheckpointStore store(args.checkpoint);
   const std::vector<int> done = store.open(config);
