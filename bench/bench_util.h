@@ -92,9 +92,11 @@ inline int bench_threads() {
   return static_cast<int>(std::min<unsigned>(8, hw == 0 ? 1 : hw));
 }
 
-/// Lane width W for lane-kernel sweeps: default 8 (the committed-baseline
-/// width), overridable via CIL_BENCH_LANES for lane-width scaling runs
-/// (EXPERIMENTS.md X13 sweeps W in {1,2,4,8,16}).
+/// Lane width W for the benches' lane-kernel series: default 8, the width
+/// the committed baselines were measured and are gated at, although
+/// BatchOptions and sweeps default to 64. Overridable via CIL_BENCH_LANES
+/// for lane-width scaling runs (EXPERIMENTS.md X13 sweeps W in
+/// {1,2,4,8,16}; X16 compares 1, 8 and 64).
 inline int bench_lanes() {
   if (const char* env = std::getenv("CIL_BENCH_LANES")) {
     const int v = std::atoi(env);

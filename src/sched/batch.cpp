@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <limits>
+#include <span>
 #include <thread>
 
 #include "util/check.h"
@@ -171,18 +172,20 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
       try {
         complete = engine.run(
             options.first_seed + static_cast<std::uint64_t>(begin),
-            end - begin, lo, [&](const LaneRunView& v) {
-              RunRecord rec;
-              rec.total_steps = v.total_steps;
-              rec.steps_p0 = v.steps_p0;
-              rec.steps_p1 = v.steps_p1;
-              rec.recoveries = v.recoveries;
-              rec.max_register_bits = v.max_register_bits;
-              rec.decision = v.decision;
-              rec.all_decided = v.all_decided;
-              if (probe != nullptr) rec.probe = v.probe;
-              part.add_run(v.seed, rec);
-              if (after_run != nullptr) after_run(v.seed);
+            end - begin, lo, [&](std::span<const LaneRunView> block) {
+              for (const LaneRunView& v : block) {
+                RunRecord rec;
+                rec.total_steps = v.total_steps;
+                rec.steps_p0 = v.steps_p0;
+                rec.steps_p1 = v.steps_p1;
+                rec.recoveries = v.recoveries;
+                rec.max_register_bits = v.max_register_bits;
+                rec.decision = v.decision;
+                rec.all_decided = v.all_decided;
+                if (probe != nullptr) rec.probe = v.probe;
+                part.add_run(v.seed, rec);
+                if (after_run != nullptr) after_run(v.seed);
+              }
             });
       } catch (...) {
         error_run[static_cast<std::size_t>(w)] =

@@ -76,9 +76,10 @@ struct BatchOptions {
   /// summary does not depend on this (only the wall timings do).
   int threads = 1;
   BatchEngine engine = BatchEngine::kLane;
-  /// Lockstep lanes per worker's LaneEngine. The summary never depends on
-  /// it (nor on threads); only the rate does.
-  int lanes = 8;
+  /// Lockstep lanes per worker's LaneEngine, 1 to 64; the default fills a
+  /// whole 64-bit plane. The summary never depends on it (nor on threads);
+  /// only the rate does.
+  int lanes = 64;
   /// Each run's scheduler when run() gets no scheduler factory.
   LaneSchedSpec lane_sched;
   /// Shared fault schedule applied to every run, or null for fault-free
@@ -91,9 +92,10 @@ struct BatchOptions {
   std::int64_t check_every = 1;
   bool check_consistency = true;
   bool check_nontriviality = true;
-  /// Optional cooperative cancellation, polled between runs. When the flag
-  /// flips true, workers finish their in-flight run, stop, and run() throws
-  /// BatchCancelled after joining — no partial summary escapes. Borrowed;
+  /// Optional cooperative cancellation, polled by each worker's engine
+  /// (LaneRunOptions::cancel). When the flag flips true, workers finish
+  /// their in-flight runs, stop, and run() throws BatchCancelled after
+  /// joining — no partial summary escapes. Borrowed;
   /// must outlive run(). The coordination service (src/svc) points this at
   /// a job ticket so a disconnected client stops burning cores mid-sweep.
   const std::atomic<bool>* cancel = nullptr;
@@ -125,9 +127,10 @@ using SchedulerFactory = std::function<SchedulerProvider()>;
 /// run (after the probe) with that run's seed. NOT part of the summary —
 /// it exists for side effects: progress reporting, and the fabric's
 /// chaos-kill injection (a hook that _exit()s the worker process mid-shard).
-/// Must be thread-safe: workers call it concurrently. The hook fires in
-/// lane-harvest order, not seed order, within a shard — callers keying side
-/// effects on the seed (every existing user) are unaffected.
+/// Must be thread-safe: workers call it concurrently. Within a shard the
+/// hook fires in harvest order — block by block, ascending lane order
+/// inside a block — not seed order; callers keying side effects on the
+/// seed (every existing user) are unaffected.
 using RunHook = std::function<void(std::uint64_t seed)>;
 
 /// The facts one finished run contributes to a BatchSummary.

@@ -5,6 +5,7 @@
 #include <bit>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 
 #include "fault/sim_faults.h"
@@ -278,9 +279,9 @@ struct BitPlanes {
            << k;
     return v;
   }
-  void clear_lane(int lane) {
-    const std::uint64_t keep = ~(std::uint64_t{1} << lane);
-    for (int k = 0; k < used; ++k) plane[static_cast<std::size_t>(k)] &= keep;
+  /// Zeroes the counts of every lane in `mask`.
+  void clear(std::uint64_t mask) {
+    for (int k = 0; k < used; ++k) plane[static_cast<std::size_t>(k)] &= ~mask;
   }
 };
 
@@ -519,94 +520,118 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
            options.cancel->load(std::memory_order_relaxed);
   };
 
-  const auto refill = [&](int lane, std::uint64_t seed) {
-    const std::uint64_t bit = std::uint64_t{1} << lane;
-    for (int p = 0; p < 2; ++p) {
-      pcA[p] &= ~bit;
-      pcB[p] &= ~bit;
-      mine[p] = (mine[p] & ~bit) | (in[p] & bit);
-      seen[p] &= ~bit;
-      decF[p] &= ~bit;
-      decV[p] &= ~bit;
-      valW[p] &= ~bit;
-      valV[p] &= ~bit;
-      act[p] |= bit;
-      ever[p] &= ~bit;
-      steps[p].clear_lane(lane);
-    }
-    wrote1 &= ~bit;
-    wrote2 &= ~bit;
-    if constexpr (kFaults) {
-      pending = have_crash ? pending | bit : pending & ~bit;
-      crashed &= ~bit;
-      armed &= ~bit;
-      recovered &= ~bit;
-    }
-    if constexpr (kRecordSchedule)
-      s.schedule[static_cast<std::size_t>(lane)].clear();
-    start_round[lane] = round;
-    next_budget = std::min(next_budget, round_after(round, max_total_steps));
-    s.seed[static_cast<std::size_t>(lane)] = seed;
-    Soa::seed_state(s.sim_s, lane, seed);
-    Soa::seed_state(s.sch_s, lane, seed ^ options.sched.seed_xor);
-  };
-
-  const auto harvest_lane = [&](int lane, std::int64_t total) {
-    const std::uint64_t bit = std::uint64_t{1} << lane;
-    const Value dbuf[2] = {(decF[0] & bit) != 0
-                               ? static_cast<Value>(decV[0] >> lane & 1)
-                               : kNoValue,
-                           (decF[1] & bit) != 0
-                               ? static_cast<Value>(decV[1] >> lane & 1)
-                               : kNoValue};
-    const std::int64_t sbuf[2] = {steps[0].read(lane), steps[1].read(lane)};
-    // Simulation::result() semantics: a crashed, undecided c does not keep
-    // the run from counting as all-decided.
-    const std::uint64_t done[2] = {decF[0] | (c == 0 ? crashed : 0),
-                                   decF[1] | (c == 1 ? crashed : 0)};
-    LaneRunView v;
-    v.seed = s.seed[static_cast<std::size_t>(lane)];
-    v.total_steps = total;
-    v.steps_p0 = sbuf[0];
-    v.steps_p1 = sbuf[1];
-    v.recoveries = (recovered & bit) != 0 ? 1 : 0;
-    v.max_register_bits = (wrote2 & bit) != 0 ? 2 : (wrote1 & bit) != 0 ? 1 : 0;
-    v.all_decided = (done[0] & done[1] & bit) != 0;
-    v.decision = dbuf[0] != kNoValue ? dbuf[0] : dbuf[1];
-    v.decisions = dbuf;
-    v.steps_per_process = sbuf;
-    v.num_processes = 2;
-    if constexpr (kRecordSchedule) {
-      const std::vector<ProcessId>& sched =
-          s.schedule[static_cast<std::size_t>(lane)];
-      v.schedule = sched.data();
-      v.schedule_len = static_cast<std::int64_t>(sched.size());
-    }
-    harvest(v);
-  };
-
   std::int64_t next_run = 0;
   std::int64_t harvested = 0;
   std::uint64_t live = 0;
   bool cancelled = cancel_requested();
 
-  // Deliver a finished lane's run, then reload the lane with the next seed
-  // (its first step comes next round) or retire it.
-  const auto finish = [&](int lane, std::int64_t total) {
-    harvest_lane(lane, total);
-    ++harvested;
-    cancelled = cancelled || cancel_requested();
-    if (!cancelled && next_run < num_runs) {
-      refill(lane, first_seed + static_cast<std::uint64_t>(next_run++));
-    } else {
-      live &= ~(std::uint64_t{1} << lane);
+  // Load the next seeds into the lanes of `rm`, in ascending lane order, as
+  // one block: every plane clears or sets the whole mask in one op. Their
+  // first step comes next round.
+  const auto refill = [&](std::uint64_t rm) {
+    for (int p = 0; p < 2; ++p) {
+      pcA[p] &= ~rm;
+      pcB[p] &= ~rm;
+      mine[p] = (mine[p] & ~rm) | (in[p] & rm);
+      seen[p] &= ~rm;
+      decF[p] &= ~rm;
+      decV[p] &= ~rm;
+      valW[p] &= ~rm;
+      valV[p] &= ~rm;
+      act[p] |= rm;
+      ever[p] &= ~rm;
+      steps[p].clear(rm);
+    }
+    wrote1 &= ~rm;
+    wrote2 &= ~rm;
+    if constexpr (kFaults) {
+      pending = have_crash ? pending | rm : pending & ~rm;
+      crashed &= ~rm;
+      armed &= ~rm;
+      recovered &= ~rm;
+    }
+    next_budget = std::min(next_budget, round_after(round, max_total_steps));
+    live |= rm;
+    for (std::uint64_t m = rm; m != 0; m &= m - 1) {
+      const int lane = std::countr_zero(m);
+      const std::uint64_t seed =
+          first_seed + static_cast<std::uint64_t>(next_run++);
+      if constexpr (kRecordSchedule)
+        s.schedule[static_cast<std::size_t>(lane)].clear();
+      start_round[lane] = round;
+      s.seed[static_cast<std::size_t>(lane)] = seed;
+      Soa::seed_state(s.sim_s, lane, seed);
+      Soa::seed_state(s.sch_s, lane, seed ^ options.sched.seed_xor);
     }
   };
 
-  for (int lane = 0; lane < W && next_run < num_runs && !cancelled; ++lane) {
-    refill(lane, first_seed + static_cast<std::uint64_t>(next_run++));
-    live |= std::uint64_t{1} << lane;
+  // One block's views and the arrays they point into, slot i for the i-th
+  // lane of the block. LaneRunView promises them only for the duration of
+  // the harvest call.
+  std::array<LaneRunView, 64> views;
+  Value dbuf[64][2] = {};
+  std::int64_t sbuf[64][2] = {};
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    views[i].decisions = dbuf[i];
+    views[i].steps_per_process = sbuf[i];
+    views[i].num_processes = 2;
   }
+
+  // Hand the runs of the lanes in `done` to the harvest as one block, in
+  // ascending lane order. A lane's total is `base` - its fill round.
+  const auto deliver = [&](std::uint64_t done, std::int64_t base) {
+    // Simulation::result() semantics: a crashed, undecided c does not keep
+    // the run from counting as all-decided.
+    const std::uint64_t all_decided = (decF[0] | (c == 0 ? crashed : 0)) &
+                                      (decF[1] | (c == 1 ? crashed : 0));
+    std::size_t n = 0;
+    for (std::uint64_t m = done; m != 0; m &= m - 1, ++n) {
+      const int lane = std::countr_zero(m);
+      Value* const d = dbuf[n];
+      std::int64_t* const own = sbuf[n];
+      for (int p = 0; p < 2; ++p) {
+        d[p] = (decF[p] >> lane & 1u) != 0
+                   ? static_cast<Value>(decV[p] >> lane & 1u)
+                   : kNoValue;
+        own[p] = steps[p].read(lane);
+      }
+      LaneRunView& v = views[n];
+      v.seed = s.seed[static_cast<std::size_t>(lane)];
+      v.total_steps = base - start_round[lane];
+      v.steps_p0 = own[0];
+      v.steps_p1 = own[1];
+      v.recoveries = static_cast<std::int64_t>(recovered >> lane & 1u);
+      v.max_register_bits = (wrote2 >> lane & 1u) != 0
+                                ? 2
+                                : static_cast<int>(wrote1 >> lane & 1u);
+      v.all_decided = (all_decided >> lane & 1u) != 0;
+      v.decision = d[0] != kNoValue ? d[0] : d[1];
+      if constexpr (kRecordSchedule) {
+        const std::vector<ProcessId>& sched =
+            s.schedule[static_cast<std::size_t>(lane)];
+        v.schedule = sched.data();
+        v.schedule_len = static_cast<std::int64_t>(sched.size());
+      }
+    }
+    harvest(std::span<const LaneRunView>(views.data(), n));
+  };
+
+  // Deliver a nonempty block, poll cancel once, then refill the block's
+  // lanes with the next seeds, lowest lanes first, or retire them.
+  const auto finish = [&](std::uint64_t done, std::int64_t base) {
+    deliver(done, base);
+    harvested += std::popcount(done);
+    cancelled = cancelled || cancel_requested();
+    std::uint64_t rm = cancelled ? 0 : done;
+    for (std::int64_t extra = std::popcount(rm) - (num_runs - next_run);
+         extra > 0; --extra)
+      rm &= ~(std::uint64_t{1} << (63 - std::countl_zero(rm)));
+    live &= ~done;
+    if (rm != 0) refill(rm);
+  };
+
+  if (!cancelled)
+    refill(W == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << W) - 1);
 
   while (live != 0) {
     ++round;
@@ -667,15 +692,14 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
       // while an armed recovery is still ahead; otherwise its run ended with
       // the previous round, and its total excludes this one. Every armed
       // recovery not fired above is ahead, except one armed just now with
-      // delay 0: that one is already due.
+      // delay 0: that one is already due. The ended runs are their own
+      // block; lanes refilled here take their first step next round.
       const std::uint64_t empty = live & ~(act[0] | act[1]);
       const std::uint64_t idle =
           empty & armed & (delay == 0 ? ~hit : ~std::uint64_t{0});
       step = live & ~empty;
-      for (std::uint64_t m = empty & ~idle; m != 0; m &= m - 1) {
-        const int lane = std::countr_zero(m);
-        finish(lane, round - 1 - start_round[lane]);
-      }
+      if (const std::uint64_t ended = empty & ~idle; ended != 0)
+        finish(ended, round - 1);
     }
 
     // One scheduler word per stepping lane. Fault-free, that is every live
@@ -778,30 +802,29 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
       }
     }
 
-    // Ascending lane order interleaves throws and harvests exactly as a
-    // lane-by-lane pass would: earlier lanes' finished runs are delivered
-    // before a later lane's violation aborts the sweep.
-    for (std::uint64_t m = hm | viol_c | viol_n; m != 0; m &= m - 1) {
-      const int lane = std::countr_zero(m);
+    // A violation aborts the sweep as a lane-by-lane pass would: the
+    // finished runs of lower lanes are delivered first, as one block.
+    if (const std::uint64_t viol = viol_c | viol_n; viol != 0) {
+      const int lane = std::countr_zero(viol);
       const std::uint64_t bit = std::uint64_t{1} << lane;
-      if (((viol_c | viol_n) & bit) != 0) {
-        failed_run_index_ = static_cast<std::int64_t>(
-            s.seed[static_cast<std::size_t>(lane)] - first_seed);
-        const int p = (dmask[1] & bit) != 0 ? 1 : 0;
-        const Value v = static_cast<Value>(decV[p] >> lane & 1);
-        std::ostringstream os;
-        if ((viol_c & bit) != 0) {
-          os << "consistency violated: P" << p << " decided " << v << " but P"
-             << (1 - p) << " decided "
-             << static_cast<Value>(decV[1 - p] >> lane & 1);
-        } else {
-          os << "nontriviality violated: P" << p << " decided " << v
-             << " which is no activated processor's input";
-        }
-        throw CoordinationViolation(os.str());
+      if (const std::uint64_t below = hm & (bit - 1); below != 0)
+        deliver(below, round);
+      failed_run_index_ = static_cast<std::int64_t>(
+          s.seed[static_cast<std::size_t>(lane)] - first_seed);
+      const int p = (dmask[1] & bit) != 0 ? 1 : 0;
+      const Value v = static_cast<Value>(decV[p] >> lane & 1);
+      std::ostringstream os;
+      if ((viol_c & bit) != 0) {
+        os << "consistency violated: P" << p << " decided " << v << " but P"
+           << (1 - p) << " decided "
+           << static_cast<Value>(decV[1 - p] >> lane & 1);
+      } else {
+        os << "nontriviality violated: P" << p << " decided " << v
+           << " which is no activated processor's input";
       }
-      finish(lane, round - start_round[lane]);
+      throw CoordinationViolation(os.str());
     }
+    if (hm != 0) finish(hm, round);
   }
   return harvested == num_runs;
 }
@@ -882,7 +905,7 @@ bool LaneEngine::run_scalar(std::uint64_t first_seed, std::int64_t num_runs,
     v.num_processes = static_cast<int>(r.decisions.size());
     v.schedule = r.schedule.data();
     v.schedule_len = static_cast<std::int64_t>(r.schedule.size());
-    harvest(v);
+    harvest(std::span<const LaneRunView>(&v, 1));
   }
   return true;
 }
@@ -891,19 +914,22 @@ std::vector<SimResult> LaneEngine::run_collect(std::uint64_t first_seed,
                                                std::int64_t num_runs,
                                                const LaneRunOptions& options) {
   std::vector<SimResult> out(static_cast<std::size_t>(num_runs));
-  const bool complete =
-      run(first_seed, num_runs, options, [&](const LaneRunView& v) {
-        SimResult r;
-        r.all_decided = v.all_decided;
-        if (v.decision != kNoValue) r.decision = v.decision;
-        r.decisions.assign(v.decisions, v.decisions + v.num_processes);
-        r.steps_per_process.assign(v.steps_per_process,
-                                   v.steps_per_process + v.num_processes);
-        r.total_steps = v.total_steps;
-        r.schedule.assign(v.schedule, v.schedule + v.schedule_len);
-        r.max_register_bits = v.max_register_bits;
-        r.recoveries = v.recoveries;
-        out[static_cast<std::size_t>(v.seed - first_seed)] = std::move(r);
+  const bool complete = run(
+      first_seed, num_runs, options,
+      [&](std::span<const LaneRunView> block) {
+        for (const LaneRunView& v : block) {
+          SimResult r;
+          r.all_decided = v.all_decided;
+          if (v.decision != kNoValue) r.decision = v.decision;
+          r.decisions.assign(v.decisions, v.decisions + v.num_processes);
+          r.steps_per_process.assign(v.steps_per_process,
+                                     v.steps_per_process + v.num_processes);
+          r.total_steps = v.total_steps;
+          r.schedule.assign(v.schedule, v.schedule + v.schedule_len);
+          r.max_register_bits = v.max_register_bits;
+          r.recoveries = v.recoveries;
+          out[static_cast<std::size_t>(v.seed - first_seed)] = std::move(r);
+        }
       });
   CIL_CHECK_MSG(complete, "run_collect cancelled mid-sweep");
   return out;

@@ -11,7 +11,10 @@
 // is one word-wide mask. Register-access permissions and widths are
 // validated once at setup (the registers and access sites are the same in
 // every lane), and the consistency / nontriviality checks run only on
-// decision events.
+// decision events. The per-seed bookkeeping works on whole masks too: the
+// lanes whose runs end in a round are handed to the harvest callback as one
+// block and reloaded with the next seeds by one op per plane, so W = 64
+// (every bit of a plane) is the default.
 //
 // The contract that keeps the speedup honest is BIT-IDENTITY: every lane
 // produces exactly the run a scalar `Simulation` with the same seed and an
@@ -64,6 +67,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -108,7 +112,9 @@ using RunProbe =
 SchedulerProvider spec_scheduler(const LaneSchedSpec& spec);
 
 struct LaneRunOptions {
-  int lanes = 8;  ///< W; clamped to the number of runs
+  /// W, the lockstep lanes (>= 1); capped at 64 and at the number of runs.
+  /// Results never depend on it. The default fills every bit of a plane.
+  int lanes = 64;
   // Per-run SimOptions fields (seed is supplied per run).
   std::int64_t max_total_steps = 1'000'000;
   std::int64_t check_every = 1;
@@ -135,9 +141,10 @@ struct LaneRunOptions {
   /// kernel has no event stream), so an observed lane run emits exactly the
   /// scalar engine's stream — including the kActiveSet counter samples.
   obs::ObsOptions obs;
-  /// Optional cooperative cancellation, polled when a finished lane would
-  /// refill. In-flight lanes finish their current run first; run() then
-  /// returns false without harvesting the unstarted remainder.
+  /// Optional cooperative cancellation, polled after each harvested block
+  /// (per-seed path: before each run). A cancelled poll starts no further
+  /// run: in-flight lanes finish their current run first and are harvested,
+  /// and run() then returns false without the unstarted remainder.
   const std::atomic<bool>* cancel = nullptr;
   /// Shared fault schedule applied to every run, or null for fault-free
   /// runs. Representable plans (crash/recovery only — see the header
@@ -155,9 +162,10 @@ struct LaneRunOptions {
   int simd_width = 0;
 };
 
-/// One finished run, as the engine hands it to the harvest callback. Plain
-/// borrowed views — valid only during the callback (the lane is recycled
-/// immediately after).
+/// One finished run, as the engine hands it to the harvest callback. The
+/// view and everything its pointers reach are valid only during that call:
+/// the kernel reuses its view storage for the next block and recycles the
+/// lane right after.
 struct LaneRunView {
   std::uint64_t seed = 0;
   std::int64_t total_steps = 0;
@@ -175,11 +183,15 @@ struct LaneRunView {
   std::int64_t schedule_len = 0;
 };
 
-/// Called once per finished run, in lane-harvest order (NOT seed order —
-/// lanes finish when their runs do). BatchRunner folds each run into an
-/// order-insensitive summary; callers wanting seed order write into
-/// seed-indexed slots, as run_collect does.
-using LaneHarvest = std::function<void(const LaneRunView&)>;
+/// Called with each block of finished runs. The lockstep kernel hands over
+/// one block per round (under a fault plan, the runs that ended at the
+/// round's event phase are a block of their own) holding every lane that
+/// finished, in ascending lane order: 1 to W runs. The per-seed path hands
+/// over blocks of one run. Across blocks the order is harvest order, NOT
+/// seed order — lanes finish when their runs do. BatchRunner folds each
+/// run into an order-insensitive summary; callers wanting seed order write
+/// into seed-indexed slots, as run_collect does.
+using LaneHarvest = std::function<void(std::span<const LaneRunView>)>;
 
 class LaneEngine {
  public:
@@ -198,11 +210,12 @@ class LaneEngine {
   int selected_simd_width(const LaneRunOptions& options) const;
 
   /// Sweep seeds [first_seed, first_seed + num_runs), W at a time, calling
-  /// `harvest` once per finished run. Returns false iff options.cancel
-  /// flipped true before every run was harvested (the remainder is skipped;
-  /// harvested runs stay valid). Property violations throw
-  /// CoordinationViolation; failed_run_index() then names the run a serial
-  /// sweep would blame.
+  /// `harvest` with every finished run exactly once, in blocks. Returns
+  /// false iff options.cancel flipped true before every run was harvested
+  /// (the remainder is skipped; harvested runs stay valid). Property
+  /// violations throw CoordinationViolation, after the finished runs of the
+  /// violating round's lower lanes are delivered; failed_run_index() then
+  /// names the run a serial sweep would blame.
   bool run(std::uint64_t first_seed, std::int64_t num_runs,
            const LaneRunOptions& options, const LaneHarvest& harvest);
 

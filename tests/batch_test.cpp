@@ -26,6 +26,7 @@
 #include <mutex>
 #include <new>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -486,8 +487,8 @@ TEST(BatchRunner, MultiThreadCrashRecoverySmoke) {
 // A scheduler factory or a probe sends runs down the engine's per-seed
 // path; a bare lane_sched lets the lockstep kernels take the runs they
 // can. Both must reduce identically. The TSan CI job runs this suite
-// (--gtest_filter='BatchLane.*') at 4 threads x 8 lanes to pin the lane
-// workers' data-race freedom.
+// (--gtest_filter='BatchLane.*'): its multi-thread sweeps and
+// cancellations pin the lane workers' data-race freedom.
 
 SchedulerFactory avoid_factory(std::uint64_t add) {
   return [add] {
@@ -603,6 +604,142 @@ TEST(BatchLane, RunHookSeesEverySeedExactlyOnce) {
   std::sort(seen.begin(), seen.end());
   for (std::size_t i = 0; i < seen.size(); ++i)
     EXPECT_EQ(seen[i], 100 + static_cast<std::uint64_t>(i));
+}
+
+TEST(BatchLane, HarvestBlocksHoldOneToWRunsAndEverySeedOnce) {
+  // The block-harvest contract at the engine, fault-free and under a
+  // crash/recovery plan: the lockstep kernel hands over each round's
+  // finished lanes as one block of 1 to W runs, the per-seed path (avoid
+  // spec) blocks of exactly one run, and together the blocks hold every
+  // seed exactly once. A view is read during its call: fault-free, its
+  // schedule is its run, one pick per step; under the plan, idle ticks
+  // count in total_steps but pick nothing.
+  fault::FaultPlan plan;
+  plan.crashes.push_back({0, 2});
+  plan.recoveries.push_back({0, 8});
+  const fault::FaultPlan* const plans[] = {nullptr, &plan};
+
+  TwoProcessProtocol protocol;
+  LaneEngine engine(protocol, {0, 1});
+  constexpr std::uint64_t kFirst = 1000;
+  for (const bool lockstep : {true, false}) {
+    const std::int64_t runs = lockstep ? 2000 : 300;
+    for (const fault::FaultPlan* fp : plans) {
+      for (const int lanes : {1, 3, 64}) {
+        SCOPED_TRACE(testing::Message()
+                     << (lockstep ? "lockstep" : "per-seed") << " plan "
+                     << (fp != nullptr ? fp->serialize() : "none")
+                     << " W=" << lanes);
+        LaneRunOptions lo;
+        lo.lanes = lanes;
+        lo.record_schedule = true;
+        lo.fault_plan = fp;
+        if (!lockstep) lo.sched = {LaneSchedSpec::Kind::kAvoid, 0, 17};
+        ASSERT_EQ(engine.soa_supported(lo), lockstep);
+
+        const std::size_t max_block = lockstep ? static_cast<std::size_t>(lanes)
+                                               : 1;
+        std::vector<int> seen(static_cast<std::size_t>(runs), 0);
+        std::int64_t delivered = 0, multi_run_blocks = 0, idled = 0;
+        ASSERT_TRUE(engine.run(
+            kFirst, runs, lo, [&](std::span<const LaneRunView> block) {
+              EXPECT_GE(block.size(), 1u);
+              EXPECT_LE(block.size(), max_block);
+              if (block.size() > 1) ++multi_run_blocks;
+              delivered += static_cast<std::int64_t>(block.size());
+              for (const LaneRunView& v : block) {
+                ASSERT_GE(v.seed, kFirst);
+                ASSERT_LT(v.seed - kFirst, static_cast<std::uint64_t>(runs));
+                ++seen[static_cast<std::size_t>(v.seed - kFirst)];
+                if (fp == nullptr) {
+                  EXPECT_EQ(v.schedule_len, v.total_steps);
+                } else {
+                  EXPECT_LE(v.schedule_len, v.total_steps);
+                  if (v.schedule_len < v.total_steps) ++idled;
+                }
+              }
+            }));
+        EXPECT_EQ(delivered, runs);
+        for (std::size_t i = 0; i < seen.size(); ++i)
+          ASSERT_EQ(seen[i], 1) << "seed " << kFirst + i;
+        // Not vacuous: full-width rounds really finish several lanes, and
+        // the plan really idles some runs.
+        if (lockstep && lanes == 64) EXPECT_GT(multi_run_blocks, 0);
+        if (fp != nullptr) EXPECT_GT(idled, 0);
+      }
+    }
+  }
+}
+
+TEST(BatchLane, CancelStopsTheLockstepKernel) {
+  // Cancellation flips after k harvested runs. The lockstep kernel polls
+  // it once per harvested block, the per-seed path before each run.
+  // Through BatchRunner the sweep throws BatchCancelled. At the engine,
+  // run() returns false having harvested each seed at most once: at least
+  // k runs, and at most k + W - 1 on the kernel (the lanes in flight finish
+  // their runs), exactly k on the per-seed path.
+  constexpr std::int64_t kRuns = 100'000;
+  TwoProcessProtocol protocol;
+  const LaneSchedSpec specs[] = {{LaneSchedSpec::Kind::kRandom, 0x1234, 0},
+                                 {LaneSchedSpec::Kind::kAvoid, 0, 17}};
+  for (const LaneSchedSpec& spec : specs) {
+    const bool lockstep = spec.kind == LaneSchedSpec::Kind::kRandom;
+    for (const std::int64_t k : {10, 1000}) {
+      {
+        SCOPED_TRACE(testing::Message()
+                     << (lockstep ? "lockstep" : "per-seed")
+                     << " BatchRunner k=" << k);
+        BatchRunner batch(protocol, {0, 1});
+        std::atomic<bool> cancel{false};
+        std::atomic<std::int64_t> hooked{0};
+        BatchOptions opts;
+        opts.first_seed = 1;
+        opts.num_runs = kRuns;
+        opts.threads = 2;
+        opts.lane_sched = spec;
+        opts.cancel = &cancel;
+        const RunHook hook = [&](std::uint64_t) {
+          if (hooked.fetch_add(1, std::memory_order_relaxed) + 1 >= k)
+            cancel.store(true, std::memory_order_relaxed);
+        };
+        EXPECT_THROW((void)batch.run(opts, nullptr, nullptr, hook),
+                     BatchCancelled);
+        EXPECT_LT(hooked.load(), kRuns);
+      }
+      for (const int lanes : {1, 8, 64}) {
+        SCOPED_TRACE(testing::Message()
+                     << (lockstep ? "lockstep" : "per-seed")
+                     << " LaneEngine k=" << k << " W=" << lanes);
+        LaneEngine engine(protocol, {0, 1});
+        std::atomic<bool> cancel{false};
+        LaneRunOptions lo;
+        lo.lanes = lanes;
+        lo.sched = spec;
+        lo.cancel = &cancel;
+        ASSERT_EQ(engine.soa_supported(lo), lockstep);
+        std::vector<char> seen(static_cast<std::size_t>(kRuns), 0);
+        std::int64_t harvested = 0;
+        const bool complete = engine.run(
+            1, kRuns, lo, [&](std::span<const LaneRunView> block) {
+              for (const LaneRunView& v : block) {
+                ASSERT_GE(v.seed, 1u);
+                ASSERT_LE(v.seed, static_cast<std::uint64_t>(kRuns));
+                EXPECT_EQ(seen[static_cast<std::size_t>(v.seed - 1)]++, 0)
+                    << "seed " << v.seed << " harvested twice";
+                if (++harvested == k)
+                  cancel.store(true, std::memory_order_relaxed);
+              }
+            });
+        EXPECT_FALSE(complete);
+        EXPECT_GE(harvested, k);
+        if (lockstep) {
+          EXPECT_LE(harvested, k + lanes - 1);
+        } else {
+          EXPECT_EQ(harvested, k);
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchLane, FaultSweepBitIdentity) {

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -585,8 +586,9 @@ TEST(ObsLane, ObservedLaneRunEmitsTheScalarStream) {
   lo.obs.active_set = true;
   EXPECT_FALSE(engine.soa_supported(lo));
   int harvested = 0;
-  ASSERT_TRUE(
-      engine.run(seed, 1, lo, [&](const LaneRunView&) { ++harvested; }));
+  ASSERT_TRUE(engine.run(seed, 1, lo, [&](std::span<const LaneRunView> b) {
+    harvested += static_cast<int>(b.size());
+  }));
   EXPECT_EQ(harvested, 1);
   ASSERT_FALSE(direct.events().empty());
   EXPECT_EQ(lane.events(), direct.events());
