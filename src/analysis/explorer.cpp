@@ -11,18 +11,6 @@ namespace cil {
 
 namespace {
 
-struct KeyHash {
-  std::size_t operator()(const std::vector<std::int64_t>& k) const {
-    // FNV-1a over the 64-bit words.
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::int64_t x : k) {
-      h ^= static_cast<std::uint64_t>(x);
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// How configuration `id` was first reached (for witness reconstruction).
 struct ParentEdge {
   std::int64_t parent = -1;  ///< -1 for the initial configuration
@@ -115,7 +103,8 @@ ExploreResult explore(const Protocol& protocol,
   ExploreResult result;
   RegisterFile scratch = protocol.make_registers();
 
-  std::unordered_map<std::vector<std::int64_t>, std::int64_t, KeyHash>
+  std::unordered_map<std::vector<std::int64_t>, std::int64_t,
+                     ConfigurationKeyHash>
       visited;
   std::vector<ParentEdge> edges;
   std::deque<std::tuple<Configuration, int, std::int64_t>>

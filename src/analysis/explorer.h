@@ -37,6 +37,19 @@ struct Configuration {
   bool any_undecided() const;
 };
 
+/// FNV-1a over the words of a Configuration::key(), for hashed maps keyed
+/// by configuration (the explorer's visited set, the MDP's state index).
+struct ConfigurationKeyHash {
+  std::size_t operator()(const std::vector<std::int64_t>& key) const {
+    std::uint64_t h = 1469598103934665603ULL;
+    for (const std::int64_t x : key) {
+      h ^= static_cast<std::uint64_t>(x);
+      h *= 1099511628211ULL;
+    }
+    return static_cast<std::size_t>(h);
+  }
+};
+
 /// Build the initial configuration of `protocol` with the given inputs.
 Configuration make_initial(const Protocol& protocol,
                            const std::vector<Value>& inputs);

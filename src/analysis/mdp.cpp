@@ -11,17 +11,6 @@ namespace cil {
 
 namespace {
 
-struct KeyHash {
-  std::size_t operator()(const std::vector<std::int64_t>& k) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const std::int64_t x : k) {
-      h ^= static_cast<std::uint64_t>(x);
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 struct Choice {
   ProcessId pid = -1;                                 // who this choice steps
   bool tracked_step = false;                          // the tracked proc moves
@@ -45,7 +34,9 @@ std::vector<State> build_states(const Protocol& protocol,
                                     nullptr) {
   RegisterFile scratch = protocol.make_registers();
 
-  std::unordered_map<std::vector<std::int64_t>, std::int64_t, KeyHash> index;
+  std::unordered_map<std::vector<std::int64_t>, std::int64_t,
+                     ConfigurationKeyHash>
+      index;
   std::vector<State> states;
   std::deque<Configuration> frontier;
 
@@ -195,38 +186,7 @@ MdpResult worst_case_expected_total_steps(const Protocol& protocol,
                                           const std::vector<Value>& inputs,
                                           const MdpOptions& options) {
   // tracked == -1: every step costs 1; absorbing once everyone decided.
-  MdpResult result;
-  const std::vector<State> states =
-      build_states(protocol, inputs, /*tracked=*/-1, options,
-                   &result.num_transitions);
-  result.num_states = static_cast<std::int64_t>(states.size());
-
-  std::vector<double> value(states.size(), 0.0);
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    double delta = 0.0;
-    for (std::size_t s = 0; s < states.size(); ++s) {
-      if (states[s].choices.empty()) continue;
-      double best = 0.0;
-      bool first = true;
-      for (const Choice& c : states[s].choices) {
-        double v = 1.0;
-        for (const auto& [prob, next] : c.next) v += prob * value[next];
-        if (first || v > best) {
-          best = v;
-          first = false;
-        }
-      }
-      delta = std::max(delta, std::abs(best - value[s]));
-      value[s] = best;
-    }
-    result.iterations = iter + 1;
-    if (delta < options.tolerance) {
-      result.converged = true;
-      break;
-    }
-  }
-  result.expected_steps = value[0];
-  return result;
+  return worst_case_expected_steps(protocol, inputs, /*tracked=*/-1, options);
 }
 
 std::vector<double> worst_case_tail(const Protocol& protocol,

@@ -27,36 +27,6 @@ bool read_file(const std::string& path, std::string& out) {
 
 }  // namespace
 
-Json sweep_config_to_json(const SweepConfig& config) {
-  Json j = Json::object();
-  j["protocol"] = Json(config.protocol);
-  j["num_processes"] = Json(config.num_processes);
-  j["scheduler"] = Json(config.scheduler);
-  j["first_seed"] = Json(std::to_string(config.range.first_seed));
-  j["num_runs"] = Json(config.range.num_runs);
-  j["shard_size"] = Json(config.shard_size);
-  j["max_total_steps"] = Json(config.max_total_steps);
-  j["check_every"] = Json(config.check_every);
-  // Written only when set: fault-free manifests keep their historical shape,
-  // so pre-fault checkpoints stay resumable by this binary and vice versa.
-  if (!config.fault_plan.empty()) j["fault_plan"] = Json(config.fault_plan);
-  return j;
-}
-
-SweepConfig sweep_config_from_json(const Json& j) {
-  SweepConfig c;
-  c.protocol = j.at("protocol").as_string();
-  c.num_processes = static_cast<int>(j.at("num_processes").as_int());
-  c.scheduler = j.at("scheduler").as_string();
-  c.range.first_seed = std::stoull(j.at("first_seed").as_string());
-  c.range.num_runs = j.at("num_runs").as_int();
-  c.shard_size = j.at("shard_size").as_int();
-  c.max_total_steps = j.at("max_total_steps").as_int();
-  c.check_every = j.at("check_every").as_int();
-  if (const Json* v = j.find("fault_plan")) c.fault_plan = v->as_string();
-  return c;
-}
-
 CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
   CIL_EXPECTS(!dir_.empty());
 }

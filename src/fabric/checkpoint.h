@@ -2,8 +2,9 @@
 //
 // Layout under the checkpoint directory:
 //
-//   manifest.json       cilcoord.sweep_manifest.v1 — the sweep's config and
-//                       the sorted list of committed shard indexes
+//   manifest.json       cilcoord.sweep_manifest.v1 — the sweep's config (a
+//                       SweepConfig, fabric/sweep.h) and the sorted list of
+//                       committed shard indexes
 //   shard_<i>.json      cilcoord.batch_summary.v2 for shard i
 //
 // The write protocol is two-phase and idempotent:
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "fabric/summary.h"
+#include "fabric/sweep.h"
 #include "obs/json.h"
 #include "sched/batch.h"
 
@@ -37,29 +39,6 @@ namespace cil::fabric {
 /// Artifact tag of the manifest document.
 inline constexpr const char* kManifestArtifactName =
     "cilcoord.sweep_manifest.v1";
-
-/// Everything that determines a sweep's deterministic outcome — the
-/// identity of a checkpoint directory. Two configs that differ in ANY field
-/// would produce different shard summaries, so open() refuses to resume
-/// across a mismatch.
-struct SweepConfig {
-  std::string protocol;   ///< "two" | "unbounded" | "bounded"
-  int num_processes = 2;
-  std::string scheduler;  ///< "random" | "avoid"
-  SeedRange range;        ///< the full sweep range
-  std::int64_t shard_size = 0;  ///< runs per shard (>= 1)
-  std::int64_t max_total_steps = 1'000'000;
-  std::int64_t check_every = 1;
-  /// Shared fault schedule in FaultPlan::serialize form; empty = fault-free.
-  /// Part of the identity: the same seeds under a different plan produce
-  /// different summaries, so a resume across plans must be refused.
-  std::string fault_plan;
-
-  friend bool operator==(const SweepConfig&, const SweepConfig&) = default;
-};
-
-obs::Json sweep_config_to_json(const SweepConfig& config);
-SweepConfig sweep_config_from_json(const obs::Json& j);
 
 class CheckpointStore {
  public:

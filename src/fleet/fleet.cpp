@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <map>
 
@@ -19,12 +18,6 @@ namespace cil::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string u64_str(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
 
 int ms_until(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -635,18 +628,10 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
   std::unique_ptr<fabric::CheckpointStore> store;
   std::map<int, fabric::ShardSummary> results;
   if (!options_.checkpoint_dir.empty()) {
-    fabric::SweepConfig cfg;
-    cfg.protocol = spec.protocol;
-    cfg.num_processes = spec.n;
-    cfg.scheduler = spec.adversary;
-    cfg.range = full;
-    cfg.shard_size = shard_size;
-    cfg.max_total_steps = spec.steps;
-    cfg.check_every = spec.check_every;
     try {
       store =
           std::make_unique<fabric::CheckpointStore>(options_.checkpoint_dir);
-      for (const int idx : store->open(cfg)) {
+      for (const int idx : store->open(svc::sweep_config(spec, shard_size))) {
         if (idx < 0 || idx >= static_cast<int>(shards.size())) continue;
         results[idx] = store->load_shard(idx);
         shards[static_cast<std::size_t>(idx)].state = Shard::State::kDone;
@@ -856,22 +841,17 @@ bool FleetService::dispatch_shard(LineClient& link, int q,
   // A shard is a plain single-chunk sweep job on the peer — the same
   // cilcoord.job.v1 any client speaks, so peers need no fleet-specific
   // data path and the shard result is the standard summary artifact.
-  const std::string id = "fs" + std::to_string(shard.index) + "a" +
-                         std::to_string(shard.attempts);
-  obs::Json j = obs::Json::object();
-  j["job"] = obs::Json(svc::kJobArtifactName);
-  j["kind"] = obs::Json("sweep");
-  j["id"] = obs::Json(id);
-  j["protocol"] = obs::Json(spec.protocol);
-  j["n"] = obs::Json(spec.n);
-  j["adversary"] = obs::Json(spec.adversary);
-  j["first_seed"] = obs::Json(u64_str(shard.range.first_seed));
-  j["seeds"] = obs::Json(shard.range.num_runs);
-  j["steps"] = obs::Json(spec.steps);
-  j["check_every"] = obs::Json(spec.check_every);
-  j["chunk"] = obs::Json(shard.range.num_runs);
-  j["threads"] = obs::Json(spec.threads);
-  if (!link.send_line(j.dump() + "\n", ms_until(deadline))) return false;
+  svc::JobSpec request = spec;
+  request.id = "fs" + std::to_string(shard.index) + "a" +
+               std::to_string(shard.attempts);
+  request.first_seed = shard.range.first_seed;
+  request.seeds = shard.range.num_runs;
+  request.chunk = shard.range.num_runs;
+  request.fleet = false;
+  const std::string& id = request.id;
+  if (!link.send_line(svc::job_spec_to_json(request).dump() + "\n",
+                      ms_until(deadline)))
+    return false;
 
   bool got_result = false;
   fabric::ShardSummary parsed;

@@ -390,6 +390,9 @@ bool LaneEngine::run(std::uint64_t first_seed, std::int64_t num_runs,
                      const LaneHarvest& harvest) {
   CIL_EXPECTS(num_runs >= 0);
   CIL_EXPECTS(options.lanes >= 1);
+  // Required on both paths, though only the per-seed one reads it: whether
+  // a sweep is accepted must not depend on which kernel serves it.
+  CIL_EXPECTS(options.check_every >= 1);
   CIL_EXPECTS(harvest != nullptr);
   CIL_EXPECTS(options.simd_width == 0 || options.simd_width == 1 ||
               options.simd_width == 2 || options.simd_width == 4);

@@ -117,7 +117,7 @@ struct LaneRunOptions {
   int lanes = 64;
   // Per-run SimOptions fields (seed is supplied per run).
   std::int64_t max_total_steps = 1'000'000;
-  std::int64_t check_every = 1;
+  std::int64_t check_every = 1;  ///< >= 1 on every path
   bool check_consistency = true;
   bool check_nontriviality = true;
   bool record_schedule = false;

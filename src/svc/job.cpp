@@ -6,10 +6,8 @@
 #include <memory>
 #include <vector>
 
-#include "core/bounded_three.h"
-#include "core/two_process.h"
-#include "core/unbounded.h"
 #include "fabric/summary.h"
+#include "fabric/sweep.h"
 #include "obs/export.h"
 #include "sched/batch.h"
 #include "search/artifact.h"
@@ -22,62 +20,8 @@ namespace cil::svc {
 
 namespace {
 
-/// The same protocol/ablation table tools/sweep and tools/hunt expose,
-/// restricted to the three core protocols the service serves.
-std::unique_ptr<Protocol> make_protocol(const std::string& name, int n,
-                                        const std::string& ablation) {
-  if (name == "two") {
-    TwoProcessProtocol::Options o;
-    o.buggy_warm_recovery = (ablation == "warm-recovery");
-    return std::make_unique<TwoProcessProtocol>(1, o);
-  }
-  if (name == "unbounded") {
-    UnboundedProtocol::Options o;
-    o.literal_condition2 = (ablation == "literal-cond2");
-    return std::make_unique<UnboundedProtocol>(n, 1, o);
-  }
-  if (name == "bounded") {
-    BoundedThreeProtocol::Options o;
-    o.naive_unanimity = (ablation == "naive-unanimity");
-    o.no_blocker_guard = (ablation == "no-guard");
-    return std::make_unique<BoundedThreeProtocol>(o);
-  }
-  CIL_CHECK_MSG(false, "unknown protocol '" + name + "'");
-  return nullptr;
-}
-
-std::vector<Value> default_inputs(int n) {
-  std::vector<Value> inputs;
-  inputs.reserve(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) inputs.push_back(static_cast<Value>(i & 1));
-  return inputs;
-}
-
 void check_cancel(const std::atomic<bool>& cancel) {
   if (cancel.load(std::memory_order_relaxed)) throw JobCancelled();
-}
-
-/// The BatchOptions for one seed range of a sweep spec, shared by plain
-/// and fleet sweeps so their shards are the same arithmetic. The adversary
-/// maps to the same scheduler seeding tools/sweep uses, so service
-/// artifacts verify against sweep artifacts.
-BatchOptions sweep_options(const JobSpec& spec, const SeedRange& range,
-                           const std::atomic<bool>& cancel) {
-  BatchOptions bo;
-  bo.first_seed = range.first_seed;
-  bo.num_runs = range.num_runs;
-  bo.threads = spec.threads;
-  bo.max_total_steps = spec.steps;
-  bo.check_every = spec.check_every;
-  bo.cancel = &cancel;
-  if (spec.adversary == "random") {
-    bo.lane_sched = {LaneSchedSpec::Kind::kRandom, 0x1234, 0};
-  } else {
-    CIL_CHECK_MSG(spec.adversary == "avoid",
-                  "unknown adversary '" + spec.adversary + "'");
-    bo.lane_sched = {LaneSchedSpec::Kind::kAvoid, 0, 17};
-  }
-  return bo;
 }
 
 /// The chaos-soak kill switch (JobLimits::chaos_kill_prob): a per-seed
@@ -98,32 +42,33 @@ RunHook make_chaos_kill_hook(const JobLimits& limits) {
   };
 }
 
+/// One chunk of `sweep`, with BatchCancelled reported as JobCancelled.
+BatchSummary run_chunk(const fabric::Sweep& sweep, const SeedRange& range,
+                       int threads, const std::atomic<bool>& cancel,
+                       const RunHook& after_run = nullptr) {
+  try {
+    return sweep.run(range, threads, &cancel, after_run);
+  } catch (const BatchCancelled&) {
+    throw JobCancelled();
+  }
+}
+
 void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
                const JobLimits& limits, const EmitFrame& emit) {
-  const auto protocol = make_protocol(spec.protocol, spec.n, "");
-  const std::vector<Value> inputs =
-      default_inputs(protocol->num_processes());
-
   const std::int64_t chunk_size =
       spec.chunk > 0 ? spec.chunk
                      : std::max<std::int64_t>(1, std::min(limits.default_chunk,
                                                           spec.seeds));
-  const std::vector<SeedRange> chunks =
-      shard_seed_range({spec.first_seed, spec.seeds}, chunk_size);
+  const fabric::Sweep sweep(sweep_config(spec, chunk_size));
   const RunHook chaos = make_chaos_kill_hook(limits);
 
-  BatchRunner runner(*protocol, inputs);
   fabric::SweepSummary merged;
   std::int64_t done = 0, decided = 0, total_steps = 0;
-  for (const SeedRange& range : chunks) {
+  for (const SeedRange& range :
+       shard_seed_range(sweep.config().range, chunk_size)) {
     check_cancel(cancel);
-    BatchSummary summary;
-    try {
-      summary = runner.run(sweep_options(spec, range, cancel), nullptr,
-                           nullptr, chaos);
-    } catch (const BatchCancelled&) {
-      throw JobCancelled();
-    }
+    BatchSummary summary =
+        run_chunk(sweep, range, spec.threads, cancel, chaos);
     done += range.num_runs;
     decided += summary.decided_runs;
     total_steps += summary.total_steps;
@@ -137,9 +82,10 @@ void run_sweep(const JobSpec& spec, const std::atomic<bool>& cancel,
 
 void run_hunt(const JobSpec& spec, const std::atomic<bool>& cancel,
               const JobLimits& limits, const EmitFrame& emit) {
-  const auto protocol = make_protocol(spec.protocol, spec.n, spec.ablation);
+  const auto protocol =
+      fabric::make_protocol(spec.protocol, spec.n, spec.ablation);
   const int n = protocol->num_processes();
-  const std::vector<Value> inputs = default_inputs(n);
+  const std::vector<Value> inputs = fabric::sweep_inputs(n);
 
   search::SimEvalOptions eval_opts;
   eval_opts.inputs = inputs;
@@ -199,7 +145,7 @@ void run_replay(const JobSpec& spec, const std::atomic<bool>& cancel,
                     "'");
   check_cancel(cancel);
 
-  const auto protocol = make_protocol(
+  const auto protocol = fabric::make_protocol(
       artifact.protocol, artifact.num_processes, artifact.ablation);
 
   // The sink-to-socket path: replay events render to JSONL lines and leave
@@ -256,17 +202,25 @@ void run_job(const JobSpec& spec, const std::atomic<bool>& cancel,
   }
 }
 
+fabric::SweepConfig sweep_config(const JobSpec& spec,
+                                 std::int64_t shard_size) {
+  fabric::SweepConfig config;
+  config.protocol = spec.protocol;
+  config.num_processes = spec.n;
+  config.scheduler = spec.adversary;
+  config.range = {spec.first_seed, spec.seeds};
+  config.shard_size = shard_size;
+  config.max_total_steps = spec.steps;
+  config.check_every = spec.check_every;
+  return config;
+}
+
 fabric::ShardSummary run_sweep_shard(const JobSpec& spec,
                                      const SeedRange& range,
                                      const std::atomic<bool>& cancel) {
-  const auto protocol = make_protocol(spec.protocol, spec.n, "");
-  const std::vector<Value> inputs = default_inputs(protocol->num_processes());
-  BatchRunner runner(*protocol, inputs);
-  try {
-    return {range, runner.run(sweep_options(spec, range, cancel), nullptr)};
-  } catch (const BatchCancelled&) {
-    throw JobCancelled();
-  }
+  const fabric::Sweep sweep(
+      sweep_config(spec, std::max<std::int64_t>(1, range.num_runs)));
+  return {range, run_chunk(sweep, range, spec.threads, cancel)};
 }
 
 }  // namespace cil::svc

@@ -5,14 +5,14 @@
 // exclusively through the EmitFrame callback (which the queue routes to the
 // owning session's write buffer via the server's outbox). Three kinds:
 //
-//   sweep  — the seed range is cut into chunks (shard_seed_range, the same
-//            unit the fabric uses), each chunk runs through one pooled
-//            BatchRunner, and chunk summaries fold into a SweepSummary.
-//            Because the fold is the fabric's merge monoid, the final
-//            streamed batch_summary.v2 is bit-identical to running the
-//            whole range in one BatchRunner call — chunking buys streamed
-//            progress and fast cancellation without costing determinism
-//            (pinned by svc_test).
+//   sweep  — the spec maps to the fabric's one sweep spec (sweep_config,
+//            run by a fabric::Sweep), which `sweep` and the fleet's shards
+//            run too. The seed range is cut into chunks (shard_seed_range)
+//            whose summaries fold into a SweepSummary, the fabric's merge
+//            monoid, so the streamed batch_summary.v2 is bit-identical to
+//            one run of the whole range: chunking buys streamed progress
+//            and fast cancellation without costing determinism (pinned by
+//            svc_test).
 //   hunt   — a search (uniform/anneal/evo) over fault-plan genomes via the
 //            src/search evaluators; emits progress as budget burns and a
 //            replayable worst_plan.v1 artifact as the result.
@@ -33,6 +33,7 @@
 #include <string>
 
 #include "fabric/summary.h"
+#include "fabric/sweep.h"
 #include "sched/batch.h"
 #include "svc/wire.h"
 
@@ -87,6 +88,11 @@ class FleetRunner {
 void run_job(const JobSpec& spec, const std::atomic<bool>& cancel,
              const JobLimits& limits, const EmitFrame& emit,
              FleetRunner* fleet = nullptr);
+
+/// The sweep a sweep job describes, as the fabric's one sweep spec: the
+/// checkpoint identity of a fleet sweep cut into `shard_size`-run shards.
+/// job.v1 carries no fault plan, so the config is fault-free.
+fabric::SweepConfig sweep_config(const JobSpec& spec, std::int64_t shard_size);
 
 /// Execute one contiguous sub-range of a sweep spec synchronously and
 /// return its shard summary — the unit the fleet layer runs locally when

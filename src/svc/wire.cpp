@@ -1,8 +1,5 @@
 #include "svc/wire.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include "util/check.h"
 #include "util/simd.h"
 
@@ -73,12 +70,6 @@ bool one_of(const std::string& v, std::initializer_list<const char*> allowed) {
   return false;
 }
 
-std::string u64_str(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  return buf;
-}
-
 }  // namespace
 
 JobSpec job_spec_from_json(const obs::Json& doc) {
@@ -111,6 +102,9 @@ JobSpec job_spec_from_json(const obs::Json& doc) {
       spec_fail("unknown adversary '" + spec.adversary + "'");
     spec.first_seed = take_seed(doc, "first_seed", spec.first_seed);
     spec.seeds = take_int(doc, "seeds", spec.seeds, 1, 10'000'000);
+    if (spec.first_seed >
+        UINT64_MAX - static_cast<std::uint64_t>(spec.seeds - 1))
+      spec_fail("seed range [first_seed, first_seed + seeds) runs past 2^64");
     spec.check_every = take_int(doc, "check_every", spec.check_every, 1,
                                 1'000'000);
     spec.chunk = take_int(doc, "chunk", spec.chunk, 0, 1'000'000);
@@ -160,7 +154,7 @@ obs::Json job_spec_to_json(const JobSpec& spec) {
   j["steps"] = obs::Json(spec.steps);
   if (spec.kind == "sweep") {
     j["adversary"] = obs::Json(spec.adversary);
-    j["first_seed"] = obs::Json(u64_str(spec.first_seed));
+    j["first_seed"] = obs::Json(std::to_string(spec.first_seed));
     j["seeds"] = obs::Json(spec.seeds);
     j["check_every"] = obs::Json(spec.check_every);
     j["chunk"] = obs::Json(spec.chunk);
@@ -170,7 +164,7 @@ obs::Json job_spec_to_json(const JobSpec& spec) {
     j["search"] = obs::Json(spec.search);
     if (!spec.ablation.empty()) j["ablation"] = obs::Json(spec.ablation);
     j["budget"] = obs::Json(spec.budget);
-    j["search_seed"] = obs::Json(u64_str(spec.search_seed));
+    j["search_seed"] = obs::Json(std::to_string(spec.search_seed));
     j["eval_steps"] = obs::Json(spec.eval_steps);
     j["horizon"] = obs::Json(spec.horizon);
     j["recovery"] = obs::Json(spec.recovery);

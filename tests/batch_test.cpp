@@ -42,6 +42,7 @@
 #include "sched/batch.h"
 #include "sched/schedulers.h"
 #include "sched/simulation.h"
+#include "util/check.h"
 #include "util/simd.h"
 
 // ---------------------------------------------------------------------------
@@ -899,6 +900,24 @@ TEST(BatchLane, SuppliedFactoryDecidesTheSchedule) {
     expected.add_run(seed, record_of(sim.run(sched)));
   }
   expect_equal_summaries(b, expected);
+}
+
+TEST(BatchLane, CheckEveryBelowOneIsRejectedOnEveryPath) {
+  // The lockstep kernel never reads check_every and the per-seed path's
+  // Simulation requires it >= 1; the engine refuses 0 on both, so whether
+  // a sweep is accepted cannot depend on which kernel would serve it.
+  TwoProcessProtocol protocol;
+  BatchRunner batch(protocol, {0, 1});
+  for (const LaneSchedSpec::Kind kind :
+       {LaneSchedSpec::Kind::kRandom, LaneSchedSpec::Kind::kAvoid}) {
+    BatchOptions opts;
+    opts.first_seed = 0;
+    opts.num_runs = 64;
+    opts.lane_sched = LaneSchedSpec{kind};
+    opts.check_every = 0;
+    EXPECT_THROW(batch.run(opts, nullptr), ContractViolation)
+        << (kind == LaneSchedSpec::Kind::kRandom ? "lockstep" : "per-seed");
+  }
 }
 
 TEST(BatchLane, ReportsSimdWidth) {

@@ -11,13 +11,19 @@
 //     the single-shot BatchSummary bit-for-bit;
 //   * overlap rejection, gap detection, and partial concatenation;
 //   * CheckpointStore: fresh open, commit, resume, orphan adoption, config
-//     mismatch rejection, and crash-atomic writes.
+//     mismatch rejection, and crash-atomic writes;
+//   * the sweep spec (fabric::Sweep): every invalid field is refused by
+//     name, and a Sweep runs the recipe — protocol, inputs, scheduler
+//     seeding — that `sweep`, coordd and the fleet have always written.
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <limits>
+#include <memory>
 #include <random>
 #include <string>
 #include <thread>
@@ -25,11 +31,14 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bounded_three.h"
 #include "core/two_process.h"
 #include "core/unbounded.h"
 #include "fabric/checkpoint.h"
 #include "fabric/summary.h"
+#include "fabric/sweep.h"
 #include "obs/export.h"
+#include "sched/adversary.h"
 #include "sched/batch.h"
 #include "sched/schedulers.h"
 #include "util/check.h"
@@ -39,6 +48,7 @@ namespace {
 
 using fabric::CheckpointStore;
 using fabric::ShardSummary;
+using fabric::Sweep;
 using fabric::SweepConfig;
 using fabric::SweepSummary;
 using obs::Json;
@@ -618,6 +628,144 @@ TEST(CheckpointStore, SweepConfigJsonRoundTrips) {
   const SweepConfig back = fabric::sweep_config_from_json(
       Json::parse(fabric::sweep_config_to_json(config).dump()));
   EXPECT_EQ(back, config);
+}
+
+// -- the sweep spec ----------------------------------------------------------
+
+SweepConfig sweep_spec(const std::string& protocol, int n,
+                       const std::string& scheduler, std::int64_t seeds,
+                       std::int64_t shard_size,
+                       const std::string& fault_plan = "") {
+  SweepConfig config;
+  config.protocol = protocol;
+  config.num_processes = n;
+  config.scheduler = scheduler;
+  config.range = {1, seeds};
+  config.shard_size = shard_size;
+  config.fault_plan = fault_plan;
+  return config;
+}
+
+TEST(SweepSpec, RejectsEachInvalidField) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  struct Row {
+    const char* field;
+    std::function<void(SweepConfig&)> edit;
+  };
+  const Row rows[] = {
+      {"protocol", [](SweepConfig& c) { c.protocol = "quantum"; }},
+      {"scheduler", [](SweepConfig& c) { c.scheduler = "split"; }},
+      {"num_processes", [](SweepConfig& c) { c.num_processes = 1; }},
+      {"num_runs", [](SweepConfig& c) { c.range.num_runs = 0; }},
+      {"first_seed", [](SweepConfig& c) { c.range = {kMax - 48, 50}; }},
+      {"shard_size", [](SweepConfig& c) { c.shard_size = 0; }},
+      {"max_total_steps", [](SweepConfig& c) { c.max_total_steps = 0; }},
+      {"check_every", [](SweepConfig& c) { c.check_every = 0; }},
+      {"fault_plan", [](SweepConfig& c) { c.fault_plan = "fp1;crash=x"; }},
+      // Parses, but names a fourth processor of a three-process sweep.
+      {"fault_plan", [](SweepConfig& c) { c.fault_plan = "fp1;crash=3@2"; }},
+  };
+  for (const Row& row : rows) {
+    SweepConfig config = sweep_spec("unbounded", 3, "random", 200, 40);
+    row.edit(config);
+    try {
+      const Sweep sweep(config);
+      ADD_FAILURE() << row.field << ": an invalid value was accepted";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(row.field), std::string::npos)
+          << row.field << ": " << e.what();
+    }
+  }
+
+  // The last representable seed is in range.
+  SweepConfig last = sweep_spec("two", 2, "random", 50, 50);
+  last.range.first_seed = kMax - 49;
+  EXPECT_NO_THROW(Sweep{last});
+
+  // The configs the tool.sweep_* ctests run (forked and --serial shapes),
+  // with `two` and `bounded` normalized to their own process counts.
+  const std::string plan = "fp1;crash=0@2;recover=0@8";
+  for (const SweepConfig& config :
+       {sweep_spec("unbounded", 3, "random", 240, 40),
+        sweep_spec("unbounded", 3, "random", 240, 240),
+        sweep_spec("two", 3, "random", 400, 50, plan),
+        sweep_spec("two", 3, "random", 400, 400, plan),
+        sweep_spec("two", 3, "random", 400, 100, plan),
+        sweep_spec("two", 3, "random", 1000, 125),
+        sweep_spec("two", 2, "random", 1000, 125),
+        sweep_spec("unbounded", 3, "avoid", 60, 20)}) {
+    EXPECT_NO_THROW(Sweep{config})
+        << fabric::sweep_config_to_json(config).dump();
+  }
+  EXPECT_EQ(Sweep(sweep_spec("two", 3, "random", 10, 10))
+                .config()
+                .num_processes,
+            2);
+  EXPECT_EQ(Sweep(sweep_spec("bounded", 2, "avoid", 10, 10))
+                .config()
+                .num_processes,
+            3);
+}
+
+TEST(SweepSpec, RunsTheRecipeEverySurfaceAssumes) {
+  // The recipe, spelled out literally: the scheduler seedings every sweep
+  // artifact in this repo was made with, and inputs 0, 1, 0.
+  const SchedulerFactory random = [] {
+    auto s = std::make_shared<RandomScheduler>(0);
+    return [s](std::uint64_t seed) -> Scheduler& {
+      s->reseed(seed ^ 0x1234);
+      return *s;
+    };
+  };
+  const SchedulerFactory avoid = [] {
+    auto s = std::make_shared<DecisionAvoidingAdversary>(0);
+    return [s](std::uint64_t seed) -> Scheduler& {
+      s->reseed(seed + 17);
+      return *s;
+    };
+  };
+  const TwoProcessProtocol two;
+  const UnboundedProtocol unbounded(3);
+  const BoundedThreeProtocol bounded;
+  struct Case {
+    const char* protocol;
+    const Protocol* literal;
+    std::vector<Value> inputs;
+  };
+  const Case cases[] = {{"two", &two, {0, 1}},
+                        {"unbounded", &unbounded, {0, 1, 0}},
+                        {"bounded", &bounded, {0, 1, 0}}};
+  constexpr std::uint64_t kFirstSeed = 5;
+  constexpr std::int64_t kSeeds = 100;
+  for (const Case& c : cases) {
+    for (const char* scheduler : {"random", "avoid"}) {
+      SCOPED_TRACE(std::string(c.protocol) + "/" + scheduler);
+      SweepConfig config = sweep_spec(c.protocol, 3, scheduler, kSeeds, 10);
+      config.range.first_seed = kFirstSeed;
+      config.max_total_steps = 100'000;
+      const Sweep sweep(config);
+      const BatchSummary ours = sweep.run(config.range, 2);
+
+      BatchRunner runner(*c.literal, c.inputs);
+      BatchOptions opts;
+      opts.first_seed = kFirstSeed;
+      opts.num_runs = kSeeds;
+      opts.max_total_steps = 100'000;
+      const BatchSummary theirs = runner.run(
+          opts, std::string(scheduler) == "random" ? random : avoid);
+      EXPECT_EQ(ours.num_runs, kSeeds);
+      expect_equal_summaries(ours, theirs);
+
+      // Any sub-range is the same arithmetic.
+      const SeedRange tail{kFirstSeed + 60, 40};
+      opts.first_seed = tail.first_seed;
+      opts.num_runs = tail.num_runs;
+      expect_equal_summaries(
+          sweep.run(tail, 1),
+          runner.run(opts, std::string(scheduler) == "random" ? random
+                                                              : avoid));
+    }
+  }
 }
 
 }  // namespace

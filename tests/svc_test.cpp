@@ -301,6 +301,9 @@ TEST(SvcTest, MalformedRequestKeepsConnectionUsable) {
       R"({"job":"cilcoord.job.v1","kind":"sweep","seeds":99999999999})",
       R"({"job":"cilcoord.job.v1","kind":"sweep","protocol":"quantum"})",
       R"({"job":"cilcoord.job.v1","kind":"sweep","seeds":{"a":1}})",
+      // A seed range that runs past 2^64.
+      R"({"job":"cilcoord.job.v1","kind":"sweep","protocol":"two",)"
+      R"("first_seed":"18446744073709551600","seeds":50})",
   };
   for (const char* line : bad) {
     c.send_line(line);
@@ -312,7 +315,7 @@ TEST(SvcTest, MalformedRequestKeepsConnectionUsable) {
   // The connection survived all of it.
   c.send_line(R"({"job":"cilcoord.job.v1","kind":"ping","id":"still-here"})");
   EXPECT_EQ(c.read_until("pong").at("id").as_string(), "still-here");
-  EXPECT_EQ(server.stats().bad_requests, 6);
+  EXPECT_EQ(server.stats().bad_requests, 7);
   EXPECT_EQ(server.stats().sessions_evicted, 0);
 }
 

@@ -22,6 +22,7 @@
 // nonzero on any validation failure or unfinished session.
 #ifndef _WIN32
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -46,6 +47,7 @@
 #include "fleet/wire.h"
 #include "obs/export.h"
 #include "obs/json.h"
+#include "svc/wire.h"
 #include "tools/cli_util.h"
 #include "util/net.h"
 #include "util/rng.h"
@@ -98,6 +100,22 @@ struct Config {
   std::int64_t max_kills = 1 << 30;
   std::uint64_t kill_seed = 1;
 };
+
+/// One sweep request line, written by the service's own job.v1 encoder.
+std::string sweep_request(const Config& cfg, std::string id,
+                          std::uint64_t first_seed, bool fleet) {
+  svc::JobSpec spec;
+  spec.kind = "sweep";
+  spec.id = std::move(id);
+  spec.protocol = cfg.protocol;
+  spec.adversary = cfg.adversary;
+  spec.first_seed = first_seed;
+  spec.seeds = cfg.seeds;
+  spec.steps = cfg.steps;
+  spec.chunk = std::max<std::int64_t>(cfg.chunk, 0);  // 0: server default
+  spec.fleet = fleet;
+  return svc::job_spec_to_json(spec).dump() + "\n";
+}
 
 struct Conn {
   enum class State { kIdle, kConnecting, kRunning, kFinished };
@@ -243,27 +261,18 @@ void Fleet::on_connect_ready(Conn& c) {
 }
 
 void Fleet::send_next_job(Conn& c) {
-  obs::Json j = obs::Json::object();
-  j["job"] = obs::Json("cilcoord.job.v1");
-  j["kind"] = obs::Json("sweep");
   c.expect_id =
       "s" + std::to_string(c.idx) + "-j" + std::to_string(c.jobs_done);
-  j["id"] = obs::Json(c.expect_id);
-  j["protocol"] = obs::Json(cfg_.protocol);
-  j["adversary"] = obs::Json(cfg_.adversary);
   // Distinct seed ranges per (session, job) so the server actually sweeps
   // rather than serving one hot cache line.
-  j["first_seed"] = obs::Json(std::to_string(
+  const std::uint64_t first_seed =
       1 + static_cast<std::uint64_t>(c.idx) * 1000 +
-      static_cast<std::uint64_t>(c.jobs_done) * 100));
-  j["seeds"] = obs::Json(static_cast<double>(cfg_.seeds));
-  j["steps"] = obs::Json(static_cast<double>(cfg_.steps));
-  if (cfg_.chunk > 0) j["chunk"] = obs::Json(static_cast<double>(cfg_.chunk));
+      static_cast<std::uint64_t>(c.jobs_done) * 100;
   c.job_inflight = true;
   c.got_accepted = false;
   c.got_result = false;
   c.job_start = Clock::now();
-  queue(c, j.dump() + "\n");
+  queue(c, sweep_request(cfg_, c.expect_id, first_seed, /*fleet=*/false));
 }
 
 void Fleet::queue(Conn& c, std::string data) {
@@ -583,23 +592,13 @@ FleetJobResult run_fleet_job(const Config& cfg,
     fleet::LineClient link;
     if (!link.connect(host, port, io_ms)) continue;
 
-    obs::Json j = obs::Json::object();
-    j["job"] = obs::Json("cilcoord.job.v1");
-    j["kind"] = obs::Json("sweep");
     const std::string id = "fleet-j" + std::to_string(job_idx) + "-a" +
                            std::to_string(out.attempts);
-    j["id"] = obs::Json(id);
-    j["protocol"] = obs::Json(cfg.protocol);
-    j["adversary"] = obs::Json(cfg.adversary);
-    j["first_seed"] = obs::Json(std::to_string(cfg.first_seed));
-    j["seeds"] = obs::Json(static_cast<double>(cfg.seeds));
-    j["steps"] = obs::Json(static_cast<double>(cfg.steps));
-    if (cfg.chunk > 0)
-      j["chunk"] = obs::Json(static_cast<double>(cfg.chunk));
-    j["fleet"] = obs::Json(true);
+    const std::string request =
+        sweep_request(cfg, id, cfg.first_seed, /*fleet=*/true);
 
     const auto t0 = Clock::now();
-    if (!link.send_line(j.dump() + "\n", io_ms)) continue;
+    if (!link.send_line(request, io_ms)) continue;
 
     std::string summary;
     bool done = false, failed = false;

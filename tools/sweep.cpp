@@ -29,7 +29,7 @@
 //                           under a different plan is refused.
 //   --seeds=<count>         (default 200)     --first-seed=<s> (default 1)
 //   --steps=<per-run cap, >= 1>  (default 1000000)
-//   --check-every=<k>       (default 1)
+//   --check-every=<k, >= 1> (default 1)
 //   --shard-size=<runs>     (default 0: seeds / (4 * workers), min 1)
 //   --workers=<procs>       (default 2)
 //   --threads=<per-worker BatchRunner threads> (default 1)
@@ -45,36 +45,34 @@
 //   --verify-against=FILE   compare this run's summary with an artifact
 //   --verbose
 //
-// Every shard runs through BatchRunner's lane engine. Figure 1 under random
-// scheduling takes its bitsliced lockstep kernel, fault-free or under a
-// representable crash/recovery plan; everything else takes its per-seed
-// path. Summaries are bit-identical either way.
+// The flags from --protocol to --shard-size are one fabric::SweepConfig,
+// the spec coordd's sweep jobs and the fleet's shards run too; a
+// fabric::Sweep (src/fabric/sweep.h) refuses it naming the first bad field
+// (exit 2), or runs every shard through BatchRunner's lane engine. Figure 1
+// under random scheduling takes its bitsliced lockstep kernel, fault-free
+// or under a representable crash/recovery plan; everything else takes its
+// per-seed path. Summaries are bit-identical either way.
 //
 // Exit codes: 0 complete (and verified, when asked); 1 verification
 // mismatch; 2 usage/config error; 3 sweep incomplete (budget exhausted).
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <memory>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #ifndef _WIN32
 #include <unistd.h>
 #endif
 
-#include "core/bounded_three.h"
-#include "core/two_process.h"
-#include "core/unbounded.h"
 #include "fabric/checkpoint.h"
 #include "fabric/summary.h"
 #include "fabric/supervisor.h"
-#include "fault/fault_plan.h"
+#include "fabric/sweep.h"
 #include "obs/export.h"
 #include "sched/batch.h"
-#include "sched/lane_engine.h"
 #include "tools/cli_util.h"
-#include "util/check.h"
 #include "util/rng.h"
 
 using namespace cil;
@@ -82,15 +80,9 @@ using namespace cil;
 namespace {
 
 struct Args {
-  std::string protocol = "unbounded";
-  int n = 3;
-  std::string adversary = "random";
-  std::string fault_plan;  ///< FaultPlan::serialize form; empty = fault-free
-  std::int64_t seeds = 200;
-  std::uint64_t first_seed = 1;
-  std::int64_t steps = 1'000'000;
-  std::int64_t check_every = 1;
-  std::int64_t shard_size = 0;  ///< 0: auto
+  /// The sweep the flags describe. shard_size 0 is resolved per mode:
+  /// seeds / (4 * workers) when forked, the whole range with --serial.
+  fabric::SweepConfig sweep;
   int workers = 2;
   int threads = 1;
   double timeout_s = 120.0;
@@ -105,28 +97,22 @@ struct Args {
   bool verbose = false;
 };
 
-/// The adversaries a sweep can name, as the lane engine's scheduler specs
-/// (the seed derivations every sweep artifact was made with); nullopt for
-/// an unknown name.
-std::optional<LaneSchedSpec> lane_sched_spec(const std::string& adversary) {
-  if (adversary == "random")
-    return LaneSchedSpec{LaneSchedSpec::Kind::kRandom, 0x1234, 0};
-  if (adversary == "avoid")
-    return LaneSchedSpec{LaneSchedSpec::Kind::kAvoid, 0, 17};
-  return std::nullopt;
-}
-
 bool parse(int argc, char** argv, Args& args) {
+  fabric::SweepConfig& sweep = args.sweep;
+  sweep.protocol = "unbounded";
+  sweep.num_processes = 3;
+  sweep.scheduler = "random";
+  sweep.range = {1, 200};
   cli::FlagSet flags(argc, argv);
-  flags.take_string("protocol", args.protocol);
-  flags.take_int("n", args.n);
-  flags.take_string("adversary", args.adversary);
-  flags.take_string("fault-plan", args.fault_plan);
-  flags.take_int("seeds", args.seeds);
-  flags.take_uint64("first-seed", args.first_seed);
-  flags.take_int("steps", args.steps);
-  flags.take_int("check-every", args.check_every);
-  flags.take_int("shard-size", args.shard_size);
+  flags.take_string("protocol", sweep.protocol);
+  flags.take_int("n", sweep.num_processes);
+  flags.take_string("adversary", sweep.scheduler);
+  flags.take_string("fault-plan", sweep.fault_plan);
+  flags.take_int("seeds", sweep.range.num_runs);
+  flags.take_uint64("first-seed", sweep.range.first_seed);
+  flags.take_int("steps", sweep.max_total_steps);
+  flags.take_int("check-every", sweep.check_every);
+  flags.take_int("shard-size", sweep.shard_size);
   flags.take_int("workers", args.workers);
   flags.take_int("threads", args.threads);
   flags.take_double("timeout-s", args.timeout_s);
@@ -140,96 +126,26 @@ bool parse(int argc, char** argv, Args& args) {
   flags.take_string("verify-against", args.verify_against);
   args.verbose = flags.take_switch("verbose");
   if (!flags.finish()) return false;
-  if (args.seeds < 1 || args.steps < 1 || args.workers < 1 ||
-      args.threads < 0 || args.retries < 0 || args.shard_size < 0 ||
+  if (args.workers < 1 || args.threads < 0 || args.retries < 0 ||
       args.chaos_kill_prob < 0.0 || args.chaos_kill_prob > 1.0) {
     std::fprintf(stderr, "sweep: flag value out of range\n");
-    return false;
-  }
-  if (!lane_sched_spec(args.adversary)) {
-    std::fprintf(stderr, "sweep: unknown adversary %s\n",
-                 args.adversary.c_str());
     return false;
   }
   if (args.out.empty()) args.out = args.checkpoint + "/summary.json";
   return true;
 }
 
-/// Atomic writes need the destination directory to exist first.
-bool ensure_out_dir(const std::string& out) {
+/// Write `text` to `out` atomically, creating its directory first (atomic
+/// writes need it to exist); reports a failure on stderr.
+bool write_artifact(const std::string& out, const std::string& text) {
   const auto parent = std::filesystem::path(out).parent_path();
-  if (parent.empty()) return true;
   std::error_code ec;
-  std::filesystem::create_directories(parent, ec);
-  return std::filesystem::is_directory(parent);
-}
-
-std::unique_ptr<Protocol> make_protocol(const Args& args) {
-  if (args.protocol == "two") return std::make_unique<TwoProcessProtocol>(1);
-  if (args.protocol == "unbounded")
-    return std::make_unique<UnboundedProtocol>(args.n, 1);
-  if (args.protocol == "bounded")
-    return std::make_unique<BoundedThreeProtocol>();
-  return nullptr;
-}
-
-/// The sweep's checkpoint identity. It records the protocol's real process
-/// count: --n only sizes `unbounded`, and `two`/`bounded` fix their own.
-fabric::SweepConfig make_config(const Args& args, const Protocol& protocol,
-                                std::int64_t shard_size) {
-  fabric::SweepConfig config;
-  config.protocol = args.protocol;
-  config.num_processes = protocol.num_processes();
-  config.scheduler = args.adversary;
-  config.range = {args.first_seed, args.seeds};
-  config.shard_size = shard_size;
-  config.max_total_steps = args.steps;
-  config.check_every = args.check_every;
-  config.fault_plan = args.fault_plan;
-  return config;
-}
-
-/// Parse + validate --fault-plan, or leave `plan` empty when the flag is.
-/// Throws (caught in main, exit 2) on a malformed spec.
-void parse_plan(const Args& args, const Protocol& protocol,
-                std::optional<fault::FaultPlan>& plan) {
-  if (args.fault_plan.empty()) return;
-  plan = fault::FaultPlan::parse(args.fault_plan);
-  plan->validate(protocol.num_processes());
-}
-
-std::vector<Value> sweep_inputs(const Protocol& protocol) {
-  std::vector<Value> inputs;
-  for (int i = 0; i < protocol.num_processes(); ++i)
-    inputs.push_back(static_cast<Value>(i & 1));
-  return inputs;
-}
-
-BatchSummary run_shard(const Args& args, const Protocol& protocol,
-                       const fault::FaultPlan* plan, const SeedRange& range,
-                       const RunHook& hook) {
-  BatchRunner runner(protocol, sweep_inputs(protocol));
-  BatchOptions bo;
-  bo.first_seed = range.first_seed;
-  bo.num_runs = range.num_runs;
-  bo.threads = args.threads;
-  bo.max_total_steps = args.steps;
-  bo.check_every = args.check_every;
-  bo.fault_plan = plan;
-  bo.lane_sched = *lane_sched_spec(args.adversary);
-  return runner.run(bo, nullptr, nullptr, hook);
-}
-
-/// The SIMD width this sweep's lane kernels run at on this host — what the
-/// artifact records, so --verify-against can flag a cross-width comparison.
-/// 1 for configurations the lane engine serves on its per-seed path.
-int sweep_simd_width(const Args& args, const Protocol& protocol,
-                     const fault::FaultPlan* plan) {
-  LaneEngine probe(protocol, sweep_inputs(protocol));
-  LaneRunOptions lo;
-  lo.sched = *lane_sched_spec(args.adversary);
-  lo.fault_plan = plan;
-  return probe.selected_simd_width(lo);
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  if ((parent.empty() || std::filesystem::is_directory(parent)) &&
+      obs::write_text_file_atomic(out, text))
+    return true;
+  std::fprintf(stderr, "sweep: cannot write %s\n", out.c_str());
+  return false;
 }
 
 /// One 64-bit identity per (chaos_seed, shard, attempt): a retried shard
@@ -352,30 +268,20 @@ int verify_against(const Args& args, const fabric::ShardSummary& ours,
 }
 
 int run_serial(const Args& args) {
-  const auto protocol = make_protocol(args);
-  if (!protocol) {
-    std::fprintf(stderr, "sweep: unknown protocol %s\n", args.protocol.c_str());
-    return 2;
-  }
-  std::optional<fault::FaultPlan> plan;
-  parse_plan(args, *protocol, plan);
-  const fault::FaultPlan* plan_ptr = plan ? &*plan : nullptr;
+  fabric::SweepConfig config = args.sweep;
+  config.shard_size = config.range.num_runs;  // one shard: the whole range
+  const fabric::Sweep sweep(std::move(config));
 
   fabric::ShardSummary whole;
-  whole.range = {args.first_seed, args.seeds};
-  whole.summary = run_shard(args, *protocol, plan_ptr, whole.range, nullptr);
+  whole.range = sweep.config().range;
+  whole.summary = sweep.run(whole.range, args.threads);
 
   fabric::SweepSummary merged;
   merged.add(whole);
-  const fabric::SweepConfig config =
-      make_config(args, *protocol, std::max<std::int64_t>(args.seeds, 1));
-  if (!ensure_out_dir(args.out) ||
-      !obs::write_text_file_atomic(
-          args.out, sweep_artifact_json(config, merged, nullptr, 1,
-                                        whole.summary.simd_width))) {
-    std::fprintf(stderr, "sweep: cannot write %s\n", args.out.c_str());
+  if (!write_artifact(args.out,
+                      sweep_artifact_json(sweep.config(), merged, nullptr, 1,
+                                          whole.summary.simd_width)))
     return 2;
-  }
   print_summary(whole.summary);
   std::printf("summary: %s\n", args.out.c_str());
   if (!args.verify_against.empty())
@@ -384,24 +290,15 @@ int run_serial(const Args& args) {
 }
 
 int run_fleet(const Args& args) {
-  const auto protocol = make_protocol(args);
-  if (!protocol) {
-    std::fprintf(stderr, "sweep: unknown protocol %s\n", args.protocol.c_str());
-    return 2;
-  }
-  std::optional<fault::FaultPlan> plan;
-  parse_plan(args, *protocol, plan);
-  const fault::FaultPlan* plan_ptr = plan ? &*plan : nullptr;
-
-  const std::int64_t shard_size =
-      args.shard_size > 0
-          ? args.shard_size
-          : std::max<std::int64_t>(
-                1, args.seeds / (4 * static_cast<std::int64_t>(args.workers)));
-  const fabric::SweepConfig config = make_config(args, *protocol, shard_size);
+  fabric::SweepConfig config = args.sweep;
+  if (config.shard_size == 0)
+    config.shard_size = std::max<std::int64_t>(
+        1, config.range.num_runs / (4 * std::int64_t{args.workers}));
+  // Built (and validated) before any worker forks; every child runs it.
+  const fabric::Sweep sweep(std::move(config));
 
   fabric::CheckpointStore store(args.checkpoint);
-  const std::vector<int> done = store.open(config);
+  const std::vector<int> done = store.open(sweep.config());
   if (args.verbose && !done.empty())
     std::fprintf(stderr, "sweep: resuming, %d/%d shards already committed\n",
                  static_cast<int>(done.size()), store.num_shards());
@@ -437,7 +334,7 @@ int run_fleet(const Args& args) {
     }
 #endif
     const BatchSummary summary =
-        run_shard(args, *protocol, plan_ptr, task.range, hook);
+        sweep.run(task.range, args.threads, nullptr, hook);
     return store.write_shard(task.index, {task.range, summary}) ? 0 : 4;
   };
 
@@ -447,16 +344,13 @@ int run_fleet(const Args& args) {
   const fabric::SweepSummary merged = store.merged();
   // Shard summaries do not record the SIMD width (it is not part of the
   // batch_summary.v2 schema), so the supervising process recomputes the
-  // width its workers ran at: same binary, same protocol, same options —
-  // the probe resolves identically in-process.
-  const int simd_width = sweep_simd_width(args, *protocol, plan_ptr);
-  if (!ensure_out_dir(args.out) ||
-      !obs::write_text_file_atomic(
-          args.out, sweep_artifact_json(config, merged, &outcome,
-                                        store.num_shards(), simd_width))) {
-    std::fprintf(stderr, "sweep: cannot write %s\n", args.out.c_str());
+  // width its workers ran at: same binary, same sweep, so the probe
+  // resolves identically in-process.
+  const int simd_width = sweep.simd_width();
+  if (!write_artifact(args.out,
+                      sweep_artifact_json(sweep.config(), merged, &outcome,
+                                          store.num_shards(), simd_width)))
     return 2;
-  }
 
   const BatchSummary partial = merged.to_partial_batch_summary();
   print_summary(partial);
