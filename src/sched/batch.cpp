@@ -20,6 +20,22 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
+/// BatchSummary::add_run without the decision count, which callers fold
+/// on their own.
+void add_run_except_decision(BatchSummary& s, std::uint64_t seed,
+                             const RunRecord& r) {
+  ++s.num_runs;
+  if (r.all_decided) ++s.decided_runs;
+  s.total_steps += r.total_steps;
+  s.recoveries += r.recoveries;
+  s.steps.add(r.total_steps);
+  s.steps_p0.add(r.steps_p0);
+  s.steps_p1.add(r.steps_p1);
+  s.max_register_bits.add(r.max_register_bits);
+  if (r.probe) s.probe.add(*r.probe);
+  s.run_digest += run_digest_term(seed, r);
+}
+
 }  // namespace
 
 std::uint64_t run_digest_term(std::uint64_t seed, const RunRecord& r) {
@@ -42,17 +58,8 @@ std::uint64_t run_digest_term(std::uint64_t seed, const RunRecord& r) {
 }
 
 void BatchSummary::add_run(std::uint64_t seed, const RunRecord& r) {
-  ++num_runs;
-  if (r.all_decided) ++decided_runs;
+  add_run_except_decision(*this, seed, r);
   if (r.decision != kNoValue) ++decision_counts[r.decision];
-  total_steps += r.total_steps;
-  recoveries += r.recoveries;
-  steps.add(r.total_steps);
-  steps_p0.add(r.steps_p0);
-  steps_p1.add(r.steps_p1);
-  max_register_bits.add(r.max_register_bits);
-  if (r.probe) probe.add(*r.probe);
-  run_digest += run_digest_term(seed, r);
 }
 
 void BatchSummary::merge(const BatchSummary& other) {
@@ -142,7 +149,10 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
   // into the worker's own summary (a local, so workers share no cache line
   // while they run) and a failure is attributed to its run index, so the
   // merge below cannot tell how the range was sharded or in which order the
-  // lanes finished — the thread/lane-invariance contract.
+  // lanes finished — the thread/lane-invariance contract. The fold is
+  // add_run's, except that a block's decisions 0 and 1 are counted locally
+  // and reach decision_counts once per block: a std::map lookup per run is
+  // a large share of a lockstep-kernel run.
   const auto worker = [&](int w, std::int64_t begin, std::int64_t end) {
     BatchSummary part;
     try {
@@ -173,6 +183,7 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
         complete = engine.run(
             options.first_seed + static_cast<std::uint64_t>(begin),
             end - begin, lo, [&](std::span<const LaneRunView> block) {
+              std::int64_t binary[2] = {0, 0};  // decisions 0 and 1
               for (const LaneRunView& v : block) {
                 RunRecord rec;
                 rec.total_steps = v.total_steps;
@@ -183,9 +194,15 @@ BatchSummary BatchRunner::run(const BatchOptions& options,
                 rec.decision = v.decision;
                 rec.all_decided = v.all_decided;
                 if (probe != nullptr) rec.probe = v.probe;
-                part.add_run(v.seed, rec);
+                add_run_except_decision(part, v.seed, rec);
+                if (v.decision == 0 || v.decision == 1)
+                  ++binary[v.decision];
+                else if (v.decision != kNoValue)
+                  ++part.decision_counts[v.decision];
                 if (after_run != nullptr) after_run(v.seed);
               }
+              for (const Value d : {0, 1})
+                if (binary[d] != 0) part.decision_counts[d] += binary[d];
             });
       } catch (...) {
         error_run[static_cast<std::size_t>(w)] =

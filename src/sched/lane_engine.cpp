@@ -35,12 +35,17 @@ constexpr Word lane_encode(Value v) {
 // bit 57 of s1*5 (see the automaton comments below) — so the kernels return
 // the advanced lanes' bits packed into one word, bit l = lane l. s1*5 is
 // computed as (s1 << 2) + s1: there is no 64-bit vector multiply below
-// AVX-512, and shift+add vectorizes everywhere.
+// AVX-512, and shift+add vectorizes everywhere. A further << 6 moves bit 57
+// to the sign bit, where one movemask (simd::sign_bits) packs a whole
+// chunk's bits; no lane is extracted on its own.
 //
 // advance_n_masked blends: lanes whose mask element is 0 keep their state
 // unchanged and report bit 0. This is what preserves per-lane bit-identity
 // when only some lanes consume a word this round (coin flips, fault-plan
-// idle ticks) — a kept lane's next draw is still its next stream word.
+// idle ticks) — a kept lane's next draw is still its next stream word. The
+// masked kernel blends every full chunk, an all-zero one included, so a
+// round takes no per-chunk branch, and it builds each chunk's lane mask in
+// registers (simd::u64x::lane_mask), so no chunk waits on a store.
 // ---------------------------------------------------------------------------
 
 template <int N>
@@ -50,7 +55,7 @@ template <int N>
                                                       std::uint64_t* s3p) {
   using V = simd::u64x<N>;
   V s0 = V::load(s0p), s1 = V::load(s1p), s2 = V::load(s2p), s3 = V::load(s3p);
-  const V bit = (((s1 << 2) + s1) >> 57) & V::splat(1);
+  const V bit = ((s1 << 2) + s1) << 6;  // the drawn bit at bit 63
   const V t = s1 << 17;
   s2 = s2 ^ s0;
   s3 = s3 ^ s1;
@@ -73,7 +78,7 @@ template <int N>
   const V o0 = V::load(s0p), o1 = V::load(s1p), o2 = V::load(s2p),
           o3 = V::load(s3p);
   V s0 = o0, s1 = o1, s2 = o2, s3 = o3;
-  const V bit = (((s1 << 2) + s1) >> 57) & V::splat(1);
+  const V bit = ((s1 << 2) + s1) << 6;  // the drawn bit at bit 63
   const V t = s1 << 17;
   s2 = s2 ^ s0;
   s3 = s3 ^ s1;
@@ -88,27 +93,20 @@ template <int N>
   return bit & m;
 }
 
-/// Per-lane 0 / ~0 mask vector from the low N bits of `chunk`.
-template <int N>
-[[gnu::always_inline]] inline simd::u64x<N> mask_vec(unsigned chunk) {
-  std::uint64_t mm[N];
-  for (int j = 0; j < N; ++j)
-    mm[j] = (chunk >> j) & 1u ? ~std::uint64_t{0} : std::uint64_t{0};
-  return simd::u64x<N>::load(mm);
-}
-
 template <int N>
 [[gnu::always_inline]] inline std::uint64_t advance_all_impl(
     std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2, std::uint64_t* s3,
     int W) {
   std::uint64_t bits = 0;
   int l = 0;
-  for (; l + N <= W; l += N) {
-    const auto b = advance_n<N>(s0 + l, s1 + l, s2 + l, s3 + l);
-    for (int j = 0; j < N; ++j) bits |= b.lane(j) << (l + j);
-  }
+  for (; l + N <= W; l += N)
+    bits |= std::uint64_t{simd::sign_bits(
+                advance_n<N>(s0 + l, s1 + l, s2 + l, s3 + l))}
+            << l;
   for (; l < W; ++l)
-    bits |= advance_n<1>(s0 + l, s1 + l, s2 + l, s3 + l).v << l;
+    bits |= std::uint64_t{simd::sign_bits(
+                advance_n<1>(s0 + l, s1 + l, s2 + l, s3 + l))}
+            << l;
   return bits;
 }
 
@@ -116,24 +114,20 @@ template <int N>
 [[gnu::always_inline]] inline std::uint64_t advance_masked_impl(
     std::uint64_t* s0, std::uint64_t* s1, std::uint64_t* s2, std::uint64_t* s3,
     int W, std::uint64_t mask) {
-  constexpr unsigned kFull = (1u << N) - 1;
   std::uint64_t bits = 0;
   int l = 0;
   for (; l + N <= W; l += N) {
-    const unsigned chunk = static_cast<unsigned>(mask >> l) & kFull;
-    if (chunk == 0) continue;  // whole chunk keeps its state: skip
-    if (chunk == kFull) {
-      const auto b = advance_n<N>(s0 + l, s1 + l, s2 + l, s3 + l);
-      for (int j = 0; j < N; ++j) bits |= b.lane(j) << (l + j);
-    } else {
-      const auto b = advance_n_masked<N>(s0 + l, s1 + l, s2 + l, s3 + l,
-                                         mask_vec<N>(chunk));
-      for (int j = 0; j < N; ++j) bits |= b.lane(j) << (l + j);
-    }
+    const auto m =
+        simd::u64x<N>::lane_mask(static_cast<unsigned>(mask >> l));
+    bits |= std::uint64_t{simd::sign_bits(
+                advance_n_masked<N>(s0 + l, s1 + l, s2 + l, s3 + l, m))}
+            << l;
   }
   for (; l < W; ++l) {
     if ((mask >> l & 1u) != 0)
-      bits |= advance_n<1>(s0 + l, s1 + l, s2 + l, s3 + l).v << l;
+      bits |= std::uint64_t{simd::sign_bits(
+                  advance_n<1>(s0 + l, s1 + l, s2 + l, s3 + l))}
+              << l;
   }
   return bits;
 }
@@ -236,7 +230,9 @@ constexpr std::int64_t round_after(std::int64_t round, std::int64_t n) {
 /// Vertical (bit-plane) counters for the bitsliced kernel: plane k holds
 /// bit k of all 64 lanes' counts, so counting a masked set of lanes up by
 /// one is a ripple-carry across planes — the carry word usually dies after
-/// a plane or two — instead of up to 64 scalar increments.
+/// a plane or two — instead of up to 64 scalar increments. The kernel's
+/// own-step counts are these: one counter fault-free, one per process under
+/// a plan (see run_soa_sliced).
 struct BitPlanes {
   std::array<std::uint64_t, 64> plane{};  ///< counts < 2^64 by construction
   int used = 0;                           ///< planes ever touched
@@ -437,10 +433,13 @@ bool LaneEngine::run_soa(std::uint64_t first_seed, std::int64_t num_runs,
 // stepping lane per round, so the two per-process selection masks
 // partition the stepping set), and the preference domain is binary (value
 // planes are one bit; a register word is encode(v) = v+1 ∈ {1,2}, so
-// max_register_bits collapses to two "ever wrote" planes). Per-process step
-// counts live in vertical counters. A lane's total is just (current round −
-// fill round): every round, a live lane either steps or — under a fault
-// plan — idles one clock tick.
+// max_register_bits collapses to two "ever wrote" planes). A lane's total is
+// just (current round − fill round): every round, a live lane either steps
+// or — under a fault plan — idles one clock tick. Own-step counts live in
+// vertical counters. Fault-free, a live lane steps exactly one process per
+// round, so only P0 keeps a counter and P1's count is the total minus P0's;
+// the fault arm keeps both, because idle ticks break that identity and the
+// crash test reads the victim's own count.
 //
 // Bit-identity with the scalar engine holds because the streams advance
 // exactly as a scalar run consumes them — one scheduler word per stepping
@@ -477,13 +476,14 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
   // write-input, 01 read, 10 coin-write); valW/valV are P_p's register
   // (written flag + decoded value); wrote1/wrote2 are the register
   // high-water mark; ever[p] feeds the nontriviality "activated" test.
+  // steps[p] counts P_p's own steps; fault-free only P0's is kept.
   std::uint64_t pcA[2] = {0, 0}, pcB[2] = {0, 0};
   std::uint64_t mine[2] = {0, 0}, seen[2] = {0, 0};
   std::uint64_t decF[2] = {0, 0}, decV[2] = {0, 0};
   std::uint64_t valW[2] = {0, 0}, valV[2] = {0, 0};
   std::uint64_t act[2] = {0, 0}, ever[2] = {0, 0};
   std::uint64_t wrote1 = 0, wrote2 = 0;
-  BitPlanes steps[2];
+  BitPlanes steps[kFaults ? 2 : 1];
   std::int64_t start_round[64] = {};
   const std::uint64_t in[2] = {inputs_[0] != 0 ? ~std::uint64_t{0} : 0,
                                inputs_[1] != 0 ? ~std::uint64_t{0} : 0};
@@ -543,8 +543,8 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
       valV[p] &= ~rm;
       act[p] |= rm;
       ever[p] &= ~rm;
-      steps[p].clear(rm);
     }
+    for (BitPlanes& counter : steps) counter.clear(rm);
     wrote1 &= ~rm;
     wrote2 &= ~rm;
     if constexpr (kFaults) {
@@ -591,16 +591,20 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
     for (std::uint64_t m = done; m != 0; m &= m - 1, ++n) {
       const int lane = std::countr_zero(m);
       Value* const d = dbuf[n];
-      std::int64_t* const own = sbuf[n];
-      for (int p = 0; p < 2; ++p) {
+      for (int p = 0; p < 2; ++p)
         d[p] = (decF[p] >> lane & 1u) != 0
                    ? static_cast<Value>(decV[p] >> lane & 1u)
                    : kNoValue;
-        own[p] = steps[p].read(lane);
-      }
+      const std::int64_t total = base - start_round[lane];
+      std::int64_t* const own = sbuf[n];
+      own[0] = steps[0].read(lane);
+      if constexpr (kFaults)
+        own[1] = steps[1].read(lane);
+      else
+        own[1] = total - own[0];
       LaneRunView& v = views[n];
       v.seed = s.seed[static_cast<std::size_t>(lane)];
-      v.total_steps = base - start_round[lane];
+      v.total_steps = total;
       v.steps_p0 = own[0];
       v.steps_p1 = own[1];
       v.recoveries = static_cast<std::int64_t>(recovered >> lane & 1u);
@@ -758,12 +762,13 @@ bool LaneEngine::run_soa_sliced(std::uint64_t first_seed,
       seen[p] = (seen[p] & ~e) | (valV[q] & e);
       pcA[p] = (pcA[p] & ~e) | m02;  // reads escalate to 2, writes to 1
       pcB[p] = (pcB[p] | e) & ~m02;
-      steps[p].add(mp);
       ever[p] |= mp;
       dmask[p] = d;
     };
     step_p(0, 1, sel0);
     step_p(1, 0, sel1);
+    steps[0].add(sel0);
+    if constexpr (kFaults) steps[1].add(sel1);
 
     // Decision events are the only place the coordination properties can
     // newly fail; both violation masks are almost always zero. check_every

@@ -6,9 +6,9 @@
 // liveness, fault state) is one bit in a 64-bit plane, bit l = lane l, so a
 // round is a few dozen word-wide boolean ops for all W lanes together. Only
 // the per-lane PRNG states stay in column form, SoA word arrays stepped by
-// the same xoshiro256** recurrence as util/rng.h; per-process step counts
-// are vertical bit-plane counters, and the set of lanes still hosting a run
-// is one word-wide mask. Register-access permissions and widths are
+// the same xoshiro256** recurrence as util/rng.h; own-step counts are
+// vertical bit-plane counters (fault-free, P1's is the run's total minus
+// P0's), and the set of lanes still hosting a run is one word-wide mask. Register-access permissions and widths are
 // validated once at setup (the registers and access sites are the same in
 // every lane), and the consistency / nontriviality checks run only on
 // decision events. The per-seed bookkeeping works on whole masks too: the

@@ -6,7 +6,9 @@
 // `u64x<N>`, a value wrapper over N contiguous uint64 lanes built on the
 // GCC/Clang vector extensions (`__attribute__((vector_size)))`), with
 // element-wise arithmetic/logic inherited from the builtin vector type and
-// memcpy-based load/store so alignment is never a correctness concern.
+// memcpy-based load/store so alignment is never a correctness concern, and
+// the two conversions between a lane-mask vector and a word of per-lane
+// bits: u64x<N>::lane_mask (bits to lanes) and sign_bits (lanes to bits).
 //
 // Widths are compile-time: N=1 (plain scalar — always available, and the
 // -DCIL_DISABLE_SIMD escape hatch), N=2 (one SSE2/NEON register), N=4 (one
@@ -29,6 +31,16 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+
+// GCC on x86-64 packs sign bits with the movemask builtins, which this
+// header declares (GCC registers the AVX ones only once a header has enabled
+// that ISA). Clang checks a builtin's ISA in the function that names it,
+// before inlining, so it takes sign_bits' portable path.
+#if !defined(CIL_DISABLE_SIMD) && defined(__GNUC__) && !defined(__clang__) && \
+    defined(__x86_64__)
+#define CIL_SIMD_MOVEMASK_BUILTINS 1
+#include <immintrin.h>
+#endif
 
 namespace cil::simd {
 
@@ -60,7 +72,9 @@ struct u64x;  // only N = 1, and (with vector extensions) 2 and 4, exist
 // an ABI boundary, which breaks (SIGSEGV) in unoptimized builds. Inlined,
 // each operation is compiled as part of its caller, for its caller's ISA.
 #if !defined(CIL_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define CIL_SIMD_DEFINE_U64X(N, BYTES)                                     \
+// The trailing arguments are the lanes' own bits, {1, 2, ...}: lane_mask
+// compares against them.
+#define CIL_SIMD_DEFINE_U64X(N, BYTES, ...)                                \
   template <>                                                              \
   struct u64x<N> {                                                         \
     typedef std::uint64_t V __attribute__((vector_size(BYTES)));           \
@@ -74,13 +88,12 @@ struct u64x;  // only N = 1, and (with vector extensions) 2 and 4, exist
     [[gnu::always_inline]] void store(std::uint64_t* p) const {            \
       std::memcpy(p, &v, sizeof(v));                                       \
     }                                                                      \
-    [[gnu::always_inline]] static u64x splat(std::uint64_t x) {            \
-      u64x r;                                                              \
-      r.v = V{} + x;                                                       \
-      return r;                                                            \
-    }                                                                      \
-    [[gnu::always_inline]] std::uint64_t lane(int i) const {               \
-      return v[i];                                                         \
+    /* Lane j is all ones iff bit j of `bits` is set: a broadcast, an AND \
+       and a compare, all in registers (a vector loaded over N narrow     \
+       stores would stall on store forwarding). */                         \
+    [[gnu::always_inline]] static u64x lane_mask(unsigned bits) {          \
+      const V own = {__VA_ARGS__};                                         \
+      return {(V)(((V{} + std::uint64_t{bits}) & own) == own)};            \
     }                                                                      \
                                                                            \
     [[gnu::always_inline]] friend u64x operator+(u64x a, u64x b) {         \
@@ -106,8 +119,8 @@ struct u64x;  // only N = 1, and (with vector extensions) 2 and 4, exist
     }                                                                      \
   }
 
-CIL_SIMD_DEFINE_U64X(2, 16);
-CIL_SIMD_DEFINE_U64X(4, 32);
+CIL_SIMD_DEFINE_U64X(2, 16, 1, 2);
+CIL_SIMD_DEFINE_U64X(4, 32, 1, 2, 4, 8);
 #undef CIL_SIMD_DEFINE_U64X
 #endif  // vector-extension widths
 
@@ -119,8 +132,9 @@ struct u64x<1> {
     return {*p};
   }
   [[gnu::always_inline]] void store(std::uint64_t* p) const { *p = v; }
-  [[gnu::always_inline]] static u64x splat(std::uint64_t x) { return {x}; }
-  [[gnu::always_inline]] std::uint64_t lane(int) const { return v; }
+  [[gnu::always_inline]] static u64x lane_mask(unsigned bits) {
+    return {std::uint64_t{0} - (bits & 1u)};
+  }
 
   [[gnu::always_inline]] friend u64x operator+(u64x a, u64x b) {
     return {a.v + b.v};
@@ -148,6 +162,32 @@ template <int N>
 [[gnu::always_inline]] inline u64x<N> rotl(u64x<N> x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+/// The lanes' top bits packed into one word, bit j = bit 63 of lane j. One
+/// movemask with GCC on x86-64 (movmskpd; the width-4 one is AVX, so only
+/// AVX2 kernels call it); a shift per lane elsewhere. Builtins, not the
+/// intrinsic functions: those carry their own target attribute and refuse
+/// to inline into these baseline-ISA helpers.
+[[gnu::always_inline]] inline unsigned sign_bits(u64x<1> x) {
+  return static_cast<unsigned>(x.v >> 63);
+}
+#if !defined(CIL_DISABLE_SIMD) && (defined(__GNUC__) || defined(__clang__))
+[[gnu::always_inline]] inline unsigned sign_bits(u64x<2> x) {
+#ifdef CIL_SIMD_MOVEMASK_BUILTINS
+  return static_cast<unsigned>(__builtin_ia32_movmskpd((__v2df)x.v));
+#else
+  return static_cast<unsigned>(x.v[0] >> 63 | (x.v[1] >> 63) << 1);
+#endif
+}
+[[gnu::always_inline]] inline unsigned sign_bits(u64x<4> x) {
+#ifdef CIL_SIMD_MOVEMASK_BUILTINS
+  return static_cast<unsigned>(__builtin_ia32_movmskpd256((__v4df)x.v));
+#else
+  return static_cast<unsigned>(x.v[0] >> 63 | (x.v[1] >> 63) << 1 |
+                               (x.v[2] >> 63) << 2 | (x.v[3] >> 63) << 3);
+#endif
+}
+#endif  // vector-extension widths
 
 /// Widest width this process can actually execute: kMaxCompiledWidth
 /// clamped by what the CPU reports at runtime. 4 requires AVX2.

@@ -10,6 +10,8 @@
 //   * per-seed identity: fresh Simulations folded through
 //     BatchSummary::add_run reproduce the sweep's whole summary, and two
 //     seeds trading records move the digest but no tally;
+//   * a million seeds of the lockstep kernel pinned to fixed digests,
+//     fault-free and under a crash/recovery plan;
 //   * the reset path is allocation-free after warmup for the core
 //     protocols, and a sweep's allocated bytes do not grow with its run
 //     count (counting global operator new);
@@ -319,6 +321,49 @@ TEST(BatchRunner, MatchesSerialFreshConstructions) {
   expect_equal_summaries(b, expected);
 }
 
+TEST(BatchRunner, BlockFoldMatchesAddRunOnWideDecisions) {
+  // BatchRunner's fold counts a block's decisions 0 and 1 locally and adds
+  // them to decision_counts once per block; any other value goes to the map
+  // per run. Both must equal add_run over fresh Simulations: Figure 1 over
+  // a seven-value domain with non-binary inputs (the per-seed path, blocks
+  // of one, where 3, 5 and 6 bypass the local counts), and binary Figure 1
+  // on the lockstep kernel at W = 64, whose blocks hold many runs.
+  struct Case {
+    Value max_value;
+    std::vector<Value> inputs;
+  };
+  const Case cases[] = {{7, {0, 5}}, {7, {3, 6}}, {1, {0, 1}}};
+  constexpr std::int64_t kRuns = 500;
+  for (const Case& k : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "inputs {" << k.inputs[0] << "," << k.inputs[1] << "}");
+    TwoProcessProtocol protocol(k.max_value);
+    BatchSummary expected;
+    for (std::uint64_t seed = 1; seed <= kRuns; ++seed) {
+      SimOptions so;
+      so.seed = seed;
+      Simulation sim(protocol, k.inputs, so);
+      RandomScheduler sched(seed ^ 0x1234);
+      expected.add_run(seed, record_of(sim.run(sched)));
+    }
+    const bool wide = k.max_value > 1;
+    BatchRunner batch(protocol, k.inputs);
+    for (const int threads : {1, 3}) {
+      BatchOptions opts;
+      opts.first_seed = 1;
+      opts.num_runs = kRuns;
+      opts.threads = threads;
+      const BatchSummary b = batch.run(opts, nullptr);
+      EXPECT_EQ(b.simd_width, wide ? 1 : simd::active_width());
+      expect_equal_summaries(b, expected);
+      const bool outside = std::any_of(
+          b.decision_counts.begin(), b.decision_counts.end(),
+          [](const auto& kv) { return kv.first != 0 && kv.first != 1; });
+      EXPECT_EQ(outside, wide);
+    }
+  }
+}
+
 TEST(BatchRunner, EmptyAndSingleRunEdges) {
   TwoProcessProtocol protocol;
   BatchRunner batch(protocol, {0, 1});
@@ -334,6 +379,32 @@ TEST(BatchRunner, EmptyAndSingleRunEdges) {
   const BatchSummary one = batch.run(opts, random_factory(1));
   EXPECT_EQ(one.num_runs, 1);
   EXPECT_EQ(one.decided_runs, 1);
+}
+
+TEST(BatchRunner, MillionSeedDigestsArePinned) {
+  // Seeds 1..10^6 of Figure 1 with inputs {0, 1} under the default random
+  // schedule, fault-free and under a crash of P0 at its second own step
+  // with a recovery 8 steps later. The golden corpus compares the lockstep
+  // kernel with Simulation on a few dozen seeds, and --serial against
+  // --workers=4 compares the kernel with itself; these fixed values pin a
+  // million of its runs, so a kernel change that is wrong on rare paths
+  // but consistent with itself still fails here.
+  TwoProcessProtocol protocol;
+  BatchRunner batch(protocol, {0, 1});
+  BatchOptions opts;
+  opts.first_seed = 1;
+  opts.num_runs = 1'000'000;
+  opts.threads = 2;
+  const BatchSummary fault_free = batch.run(opts, nullptr);
+  EXPECT_EQ(fault_free.run_digest, 15801478385810820814ULL);
+  EXPECT_EQ(fault_free.total_steps, 9149932);
+
+  const fault::FaultPlan plan =
+      fault::FaultPlan::parse("fp1;crash=0@2;recover=0@8");
+  opts.fault_plan = &plan;
+  const BatchSummary crash = batch.run(opts, nullptr);
+  EXPECT_EQ(crash.run_digest, 16336475507074063927ULL);
+  EXPECT_EQ(crash.total_steps, 13472540);
 }
 
 TEST(BatchSummary, SwappingTwoSeedsRecordsMovesOnlyTheDigest) {
@@ -787,7 +858,9 @@ TEST(BatchLane, LockstepKernelMatchesPerSeedPathOnPlanEdges) {
   // below 1 (Simulation::run takes no step at all) up to INT64_MAX (no
   // lane's due round may wrap); all four binary input pairs; and W from
   // one lane to a full 64-lane word, with more seeds than lanes so every
-  // width refills.
+  // width refills. W = 3 and 63 end in scalar tail lanes after the vector
+  // chunks of the PRNG kernels. This runs at the process's SIMD width;
+  // tests/CMakeLists.txt reruns it at $CIL_SIMD_WIDTH 1 and 2.
   std::vector<std::optional<fault::FaultPlan>> plans = {std::nullopt};
   for (const ProcessId victim : {0, 1}) {
     for (const std::int64_t at : {0, 1, 2, 5}) {
@@ -830,7 +903,7 @@ TEST(BatchLane, LockstepKernelMatchesPerSeedPathOnPlanEdges) {
           lo.max_total_steps = budget;
           lo.fault_plan = opts.fault_plan;
           EXPECT_EQ(engine.soa_supported(lo), budget >= 1);
-          for (const int lanes : {1, 3, 8, 64}) {
+          for (const int lanes : {1, 3, 8, 63, 64}) {
             SCOPED_TRACE(testing::Message()
                          << "inputs {" << in0 << "," << in1 << "} plan "
                          << (plan ? plan->serialize() : "none") << " budget "

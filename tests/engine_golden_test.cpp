@@ -208,13 +208,16 @@ TEST(EngineGolden, ReplaysEveryCorpusLineBitForBit) {
 }
 
 // The lane-vs-scalar pin: every corpus case, run through the lane engine at
-// W in {1, 4, 8, 64} and every compiled-in SIMD width this host can
+// W in {1, 4, 5, 8, 63, 64} and every compiled-in SIMD width this host can
 // execute, produces byte-identical formatted runs per lane — total steps,
 // recoveries, max register bits, decisions, and the exact schedule —
 // against a freshly-built scalar Simulation of the same seed. Each width
 // sweeps more runs than lanes, so the lockstep kernel's harvest-and-refill
 // path (a finished lane reloading the next seed mid-round) is pinned too,
-// up to plane bit 63 at W = 64, and every divergence arm is exercised:
+// up to plane bit 63 at W = 64. W = 5 and 63 are not multiples of the
+// vector widths, so their runs cross the seam between the vector chunks
+// and the scalar tail lanes of the PRNG kernels. Every divergence arm is
+// exercised:
 // two/random takes the bitsliced lockstep kernel, two/crashrec* its fault
 // arm, adversary lines the pooled-scheduler fallback, the exotic rigs the
 // custom scalar_run fallback.
@@ -239,7 +242,7 @@ TEST(EngineGolden, LaneEngineMatchesScalarPerLaneAtEveryWidth) {
     ASSERT_NE(protocol, nullptr) << name;
     const std::vector<Value> inputs = case_inputs(proto);
 
-    for (const int lanes : {1, 4, 8, 64}) {
+    for (const int lanes : {1, 4, 5, 8, 63, 64}) {
       LaneEngine engine(*protocol, inputs);
       const bool soa = engine.soa_supported(lane_case_options(name, lanes));
       if (soa) {

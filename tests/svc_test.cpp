@@ -446,6 +446,29 @@ TEST(SvcTest, HuntThenReplayRoundTrip) {
   c.read_until("done");
 }
 
+TEST(SvcTest, FailedJobErrorNamesRepoRelativeSource) {
+  // A replay whose worst_plan lacks the artifact tag passes the decoder
+  // (which checks only that the object is there) and fails the artifact
+  // reader's contract when the job runs. The error frame carries that
+  // contract text to the client: it names the source file as the
+  // repository does, not the build host's absolute path.
+  TestServer server;
+  Client c(server.port());
+  c.expect_hello();
+  Json replay = Json::object();
+  replay["job"] = Json("cilcoord.job.v1");
+  replay["kind"] = Json("replay");
+  replay["id"] = Json("untagged");
+  replay["worst_plan"] = Json::object();
+  c.send_line(replay.dump());
+  const Json err = c.read_until("error");
+  EXPECT_EQ(err.at("id").as_string(), "untagged");
+  const std::string what = err.at("what").as_string();
+  EXPECT_NE(what.find("src/search/artifact.cpp:"), std::string::npos) << what;
+  EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+  c.read_until("done");
+}
+
 TEST(SvcTest, ManyConcurrentSessions) {
   ServerOptions options;
   options.job_workers = 4;

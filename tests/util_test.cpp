@@ -39,6 +39,20 @@ TEST(Check, MessageIncludesExpressionAndNote) {
   }
 }
 
+TEST(Check, LocationIsRepoRelative) {
+  // The build maps the checkout's path out of __FILE__, so a contract
+  // message that reaches a CLI or a service client names the file as the
+  // repository does and says nothing of where the tree was built.
+  try {
+    CIL_CHECK_MSG(false, "where am I");
+    FAIL() << "should have thrown";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tests/util_test.cpp:"), std::string::npos) << what;
+    EXPECT_EQ(what.find(" at /"), std::string::npos) << what;
+  }
+}
+
 TEST(Check, NarrowRoundTrips) {
   EXPECT_EQ(narrow<std::int32_t>(std::int64_t{42}), 42);
   EXPECT_EQ(narrow<std::uint8_t>(255), 255);
