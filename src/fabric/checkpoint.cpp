@@ -49,8 +49,6 @@ bool CheckpointStore::is_complete(int index) const {
   return std::binary_search(completed_.begin(), completed_.end(), index);
 }
 
-std::vector<int> CheckpointStore::completed() const { return completed_; }
-
 std::vector<int> CheckpointStore::open(const SweepConfig& config) {
   CIL_EXPECTS(config.range.num_runs >= 1);
   CIL_EXPECTS(config.shard_size >= 1);
@@ -76,33 +74,21 @@ std::vector<int> CheckpointStore::open(const SweepConfig& config) {
                   "CheckpointStore: " + dir_ +
                       " holds a checkpoint for a different sweep config; "
                       "refusing to resume (use a fresh directory)");
-    for (const Json& idx : doc.at("completed").as_array()) {
-      const int i = static_cast<int>(idx.as_int());
-      CIL_CHECK_MSG(i >= 0 && i < num_shards(),
-                    "CheckpointStore: manifest lists shard index out of range");
-      completed_.push_back(i);
-    }
-    std::sort(completed_.begin(), completed_.end());
-    completed_.erase(std::unique(completed_.begin(), completed_.end()),
-                     completed_.end());
+  } else {
+    write_manifest();
   }
 
-  // Adopt orphans: shard files a killed worker finished writing (atomic, so
-  // complete and valid) that never made it into the manifest.
-  bool adopted = false;
+  // The shard files are the commits. A torn or foreign file does not
+  // count; a retry overwrites it.
   for (int i = 0; i < num_shards(); ++i) {
-    if (is_complete(i)) continue;
     if (!std::filesystem::exists(shard_path(i))) continue;
     try {
       (void)load_shard(i);
     } catch (...) {
-      continue;  // torn predecessor-format or corrupt file: let a retry win
+      continue;
     }
-    completed_.insert(
-        std::upper_bound(completed_.begin(), completed_.end(), i), i);
-    adopted = true;
+    completed_.push_back(i);
   }
-  if (adopted || !std::filesystem::exists(manifest_path())) write_manifest();
   return completed_;
 }
 
@@ -136,7 +122,6 @@ bool CheckpointStore::commit_shard(int index) {
   }
   completed_.insert(
       std::upper_bound(completed_.begin(), completed_.end(), index), index);
-  write_manifest();
   return true;
 }
 
@@ -151,9 +136,8 @@ void CheckpointStore::write_manifest() const {
   Json doc = Json::object();
   doc["artifact"] = Json(kManifestArtifactName);
   doc["config"] = sweep_config_to_json(config_);
-  Json completed = Json::array();
-  for (const int i : completed_) completed.push_back(Json(i));
-  doc["completed"] = std::move(completed);
+  // Older builds read committed shards from this list; it stays empty.
+  doc["completed"] = Json::array();
   CIL_CHECK_MSG(obs::write_text_file_atomic(manifest_path(), doc.dump() + "\n"),
                 "CheckpointStore: cannot write " + manifest_path());
 }

@@ -1,28 +1,19 @@
-// Crash-safe sweep checkpointing: per-shard summary files plus a manifest.
+// Crash-safe sweep checkpointing: per-shard summary files plus a
+// write-once manifest.
 //
-// Layout under the checkpoint directory:
+//   manifest.json   cilcoord.sweep_manifest.v1: the sweep's SweepConfig
+//                   (fabric/sweep.h), written by the open that finds none
+//   shard_<i>.json  cilcoord.batch_summary.v2 for shard i
 //
-//   manifest.json       cilcoord.sweep_manifest.v1 — the sweep's config (a
-//                       SweepConfig, fabric/sweep.h) and the sorted list of
-//                       committed shard indexes
-//   shard_<i>.json      cilcoord.batch_summary.v2 for shard i
-//
-// The write protocol is two-phase and idempotent:
-//
-//   1. The WORKER (child process) writes shard_<i>.json atomically
-//      (write_text_file_atomic: same-dir tmp + fsync + rename), so a
-//      SIGKILL at any instant leaves either no shard file or a complete
-//      valid one — never a torn file.
-//   2. The SUPERVISOR (parent), after reaping a successful worker,
-//      validates the shard file and commits it by atomically rewriting the
-//      manifest with the shard index appended.
-//
-// Resume is therefore free: open() re-reads the manifest, verifies the
-// stored config matches the requested sweep (a checkpoint directory from a
-// DIFFERENT sweep must never be silently reused — that throws), and adopts
-// any valid orphaned shard files written by workers that died between
-// phases 1 and 2. Shard summaries are deterministic, so an orphan from a
-// killed attempt is byte-for-byte what a retry would recompute.
+// The protocol has one phase: a worker writes shard_<i>.json atomically
+// (write_text_file_atomic: same-dir tmp + fsync + rename), and that file IS
+// the shard's commit. A SIGKILL at any instant leaves no file or a complete
+// valid one, and shard summaries are deterministic, so a file left by a
+// killed attempt is byte-for-byte what a retry would recompute. Resume is
+// free: open() refuses a directory holding a DIFFERENT sweep's manifest
+// and counts every valid shard file. Older builds also listed committed
+// shards in the manifest's "completed"; new manifests keep it empty and
+// open() ignores it, so a listed shard whose file is missing is rerun.
 #pragma once
 
 #include <cstdint>
@@ -44,23 +35,17 @@ class CheckpointStore {
  public:
   explicit CheckpointStore(std::string dir);
 
-  /// Create the directory (and parents) if needed and load or create the
-  /// manifest. Returns the sorted indexes of already-committed shards
-  /// (empty on a fresh start). Orphaned shard files — present and valid on
-  /// disk but not yet in the manifest — are committed during open, since
-  /// atomic writes guarantee they are complete and determinism guarantees
-  /// they equal what a retry would produce. Throws ContractViolation if the
-  /// directory holds a manifest for a different SweepConfig.
+  /// Create the directory if needed; check its manifest, or write one when
+  /// it has none. Returns the sorted indexes of the valid shard files.
+  /// Throws ContractViolation on a manifest for a different SweepConfig.
   std::vector<int> open(const SweepConfig& config);
 
-  /// Worker side (phase 1): atomically persist shard `index`'s summary.
-  /// Does NOT touch the manifest; safe to call from a forked child. The
-  /// shard's range must be exactly shard_range(index).
+  /// Atomically persist shard `index`'s summary: its commit. Safe from a
+  /// forked child. The range must be exactly shard_range(index).
   bool write_shard(int index, const ShardSummary& shard) const;
 
-  /// Supervisor side (phase 2): validate shard_<index>.json on disk and
-  /// commit it into the manifest (atomic manifest rewrite). Returns false —
-  /// without committing — if the file is missing or invalid.
+  /// Validate shard_<index>.json and mark the shard complete here; writes
+  /// nothing. False if the file is missing or invalid.
   bool commit_shard(int index);
 
   /// Parse and validate shard_<index>.json. Throws ContractViolation if
@@ -74,7 +59,6 @@ class CheckpointStore {
   int num_shards() const { return static_cast<int>(shards_.size()); }
   SeedRange shard_range(int index) const;
   bool is_complete(int index) const;
-  std::vector<int> completed() const;
 
   std::string shard_path(int index) const;
   std::string manifest_path() const;
@@ -86,7 +70,7 @@ class CheckpointStore {
   std::string dir_;
   SweepConfig config_;
   std::vector<SeedRange> shards_;  ///< shard_seed_range(config.range, size)
-  std::vector<int> completed_;     ///< sorted committed shard indexes
+  std::vector<int> completed_;     ///< sorted indexes of valid shard files
   bool opened_ = false;
 };
 

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <thread>
 
@@ -19,34 +17,28 @@
 
 namespace cil::fabric {
 
-double backoff_seconds(const SupervisorOptions& options, int attempt) {
-  const double raw = options.backoff_initial_seconds *
-                     std::pow(options.backoff_factor, attempt);
-  return std::min(options.backoff_max_seconds, raw);
+namespace {
+
+/// Run the shard body and return its exit code; a throw exits 71.
+int run_worker(const ShardWorker& worker, const ShardTask& task,
+               int attempt) {
+  try {
+    return worker(task, attempt);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fabric: shard %d attempt %d threw: %s\n",
+                 task.index, attempt, e.what());
+  } catch (...) {
+  }
+  return 71;
 }
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct Pending {
-  ShardTask task;
-  int attempt = 0;
-  Clock::time_point ready_at;  ///< backoff gate; immediate on first try
-};
-
-}  // namespace
-
 #ifndef _WIN32
-
-namespace {
-
 struct Running {
-  ShardTask task;
-  int attempt = 0;
-  Clock::time_point deadline;  ///< time_point::max() when no timeout
-  bool timed_out = false;      ///< SIGKILL sent; awaiting the reap
+  int slot = 0;  ///< position in the task list, the ledger's shard number
+  ShardClock::time_point deadline;  ///< time_point::max() when no timeout
+  bool timed_out = false;           ///< SIGKILL sent; awaiting the reap
 };
+#endif
 
 }  // namespace
 
@@ -59,102 +51,87 @@ SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
 
   SweepOutcome out;
   out.shards.resize(tasks.size());
-  std::map<int, std::size_t> slot_of_index;
+  std::vector<int> resumed;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    out.shards[i].index = tasks[i].index;
-    slot_of_index[tasks[i].index] = i;
+    ShardOutcome& so = out.shards[i];
+    so.index = tasks[i].index;
+    if (!store.is_complete(so.index)) continue;
+    so.completed = so.resumed = true;
+    resumed.push_back(static_cast<int>(i));
+    if (options.verbose)
+      std::fprintf(stderr, "fabric: shard %d resumed from checkpoint\n",
+                   so.index);
   }
+  ShardLedger ledger(static_cast<int>(tasks.size()), resumed, options.policy);
 
-  std::deque<Pending> pending;
-  for (const ShardTask& task : tasks) {
-    if (store.is_complete(task.index)) {
-      ShardOutcome& so = out.shards[slot_of_index[task.index]];
+  // An attempt ended: `error` is "" when the worker exited 0. A valid
+  // shard file commits the shard; anything else goes back to the ledger.
+  const auto finish = [&](int slot, const std::string& error) {
+    ShardOutcome& so = out.shards[static_cast<std::size_t>(slot)];
+    if (error.empty() && store.commit_shard(so.index)) {
+      ledger.commit(slot);
       so.completed = true;
-      so.resumed = true;
       if (options.verbose)
-        std::fprintf(stderr, "fabric: shard %d resumed from checkpoint\n",
-                     task.index);
-      continue;
+        std::fprintf(stderr, "fabric: shard %d committed\n", so.index);
+      return;
     }
-    pending.push_back({task, 0, Clock::now()});
+    // Exit 0 without a valid shard file counts as a crash.
+    so.last_error = error.empty() ? "shard file invalid" : error;
+    if (options.verbose)
+      std::fprintf(stderr, "fabric: shard %d attempt %d failed (%s)\n",
+                   so.index, ledger.failures(slot), so.last_error.c_str());
+    if (ledger.fail(slot, ShardClock::now()))
+      ++out.retries;
+    else if (options.verbose)
+      std::fprintf(stderr, "fabric: shard %d retry budget exhausted\n",
+                   so.index);
+  };
+
+#ifdef _WIN32
+  // No fork(): run each shard in-process, serially, leasing gate-free.
+  // Checkpointing and the retry budget hold; chaos-kill and timeouts do
+  // not apply.
+  for (int slot; (slot = ledger.lease(ShardClock::time_point::max())) >= 0;) {
+    ++out.shards[static_cast<std::size_t>(slot)].attempts;
+    const int code = run_worker(worker, tasks[static_cast<std::size_t>(slot)],
+                                ledger.failures(slot));
+    finish(slot, code == 0 ? "" : "exit=" + std::to_string(code));
   }
-
+#else
   std::map<pid_t, Running> running;
-
-  const auto launch = [&](const Pending& p) {
-    ShardOutcome& so = out.shards[slot_of_index[p.task.index]];
-    ++so.attempts;
+  const auto launch = [&](int slot) {
+    const ShardTask& task = tasks[static_cast<std::size_t>(slot)];
+    const int attempt = ledger.failures(slot);
+    ++out.shards[static_cast<std::size_t>(slot)].attempts;
     if (options.verbose)
       std::fprintf(stderr, "fabric: shard %d attempt %d launching\n",
-                   p.task.index, p.attempt);
+                   task.index, attempt);
     std::fflush(nullptr);  // don't let children replay buffered output
     const pid_t pid = ::fork();
     CIL_CHECK_MSG(pid >= 0, "fabric: fork() failed");
     if (pid == 0) {
       // Child. Run the shard body and leave without unwinding the parent's
       // state (no atexit handlers, no static destructors).
-      int code = 70;
-      try {
-        code = worker(p.task, p.attempt);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "fabric: shard %d attempt %d threw: %s\n",
-                     p.task.index, p.attempt, e.what());
-        code = 71;
-      } catch (...) {
-        code = 71;
-      }
+      const int code = run_worker(worker, task, attempt);
       std::fflush(nullptr);
       ::_exit(code);
     }
-    Running r;
-    r.task = p.task;
-    r.attempt = p.attempt;
-    r.deadline = options.shard_timeout_seconds > 0.0
-                     ? Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                          std::chrono::duration<double>(
-                                              options.shard_timeout_seconds))
-                     : Clock::time_point::max();
-    running.emplace(pid, r);
+    running.emplace(pid, Running{slot, attempt_deadline(options.policy,
+                                                         ShardClock::now())});
   };
 
-  const auto fail = [&](const Running& r, const std::string& reason) {
-    ShardOutcome& so = out.shards[slot_of_index[r.task.index]];
-    so.last_error = reason;
-    if (options.verbose)
-      std::fprintf(stderr, "fabric: shard %d attempt %d failed (%s)\n",
-                   r.task.index, r.attempt, reason.c_str());
-    if (r.attempt < options.retry_budget) {
-      ++out.retries;
-      const double delay = backoff_seconds(options, r.attempt);
-      pending.push_back(
-          {r.task, r.attempt + 1,
-           Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(delay))});
-    } else {
-      out.incomplete_shards.push_back(r.task.index);
-      if (options.verbose)
-        std::fprintf(stderr, "fabric: shard %d retry budget exhausted\n",
-                     r.task.index);
-    }
-  };
-
-  while (!pending.empty() || !running.empty()) {
-    // Launch everything whose backoff has elapsed, up to the worker cap.
-    const Clock::time_point now = Clock::now();
-    for (auto it = pending.begin();
-         it != pending.end() &&
-         running.size() < static_cast<std::size_t>(options.workers);) {
-      if (it->ready_at <= now) {
-        launch(*it);
-        it = pending.erase(it);
-      } else {
-        ++it;
-      }
+  while (!ledger.settled()) {
+    // Launch every shard whose backoff has elapsed, up to the worker cap.
+    const ShardClock::time_point now = ShardClock::now();
+    while (running.size() < static_cast<std::size_t>(options.workers)) {
+      const int slot = ledger.lease(now);
+      if (slot < 0) break;
+      launch(slot);
     }
 
     // Enforce timeouts: SIGKILL, then reap through the normal path below.
     for (auto& [pid, r] : running) {
-      if (!r.timed_out && Clock::now() >= r.deadline) {
+      if (!r.timed_out && ShardClock::now() >= r.deadline) {
         r.timed_out = true;
         ::kill(pid, SIGKILL);
       }
@@ -168,75 +145,28 @@ SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
       if (it != running.end()) {
         const Running r = it->second;
         running.erase(it);
-        if (r.timed_out) {
-          fail(r, "timeout");
-        } else if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          if (store.commit_shard(r.task.index)) {
-            out.shards[slot_of_index[r.task.index]].completed = true;
-            if (options.verbose)
-              std::fprintf(stderr, "fabric: shard %d committed\n",
-                           r.task.index);
-          } else {
-            // Exit 0 but no valid shard file: treat as a crash.
-            fail(r, "shard file invalid");
-          }
-        } else if (WIFEXITED(status)) {
-          fail(r, "exit=" + std::to_string(WEXITSTATUS(status)));
-        } else if (WIFSIGNALED(status)) {
-          fail(r, "signal=" + std::to_string(WTERMSIG(status)));
-        } else {
-          fail(r, "unknown wait status");
-        }
+        if (r.timed_out)
+          finish(r.slot, "timeout");
+        else if (WIFEXITED(status))
+          finish(r.slot, WEXITSTATUS(status) == 0
+                             ? ""
+                             : "exit=" + std::to_string(WEXITSTATUS(status)));
+        else if (WIFSIGNALED(status))
+          finish(r.slot, "signal=" + std::to_string(WTERMSIG(status)));
+        else
+          finish(r.slot, "unknown wait status");
       }
       continue;  // drain further finished children before sleeping
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+#endif
 
+  for (const int slot : ledger.spent())
+    out.incomplete_shards.push_back(
+        tasks[static_cast<std::size_t>(slot)].index);
   std::sort(out.incomplete_shards.begin(), out.incomplete_shards.end());
   return out;
 }
-
-#else  // _WIN32
-
-// No fork(): run each shard in-process, serially. Checkpointing and retry
-// semantics still hold; chaos-kill and timeouts do not apply.
-SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
-                            const SupervisorOptions& options,
-                            CheckpointStore& store,
-                            const ShardWorker& worker) {
-  CIL_EXPECTS(options.workers >= 1);
-  CIL_EXPECTS(worker != nullptr);
-  SweepOutcome out;
-  out.shards.resize(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    ShardOutcome& so = out.shards[i];
-    so.index = tasks[i].index;
-    if (store.is_complete(tasks[i].index)) {
-      so.completed = so.resumed = true;
-      continue;
-    }
-    for (int attempt = 0; attempt <= options.retry_budget; ++attempt) {
-      ++so.attempts;
-      if (attempt > 0) ++out.retries;
-      int code = 70;
-      try {
-        code = worker(tasks[i], attempt);
-      } catch (...) {
-        code = 71;
-      }
-      if (code == 0 && store.commit_shard(tasks[i].index)) {
-        so.completed = true;
-        break;
-      }
-      so.last_error = code == 0 ? "shard file invalid"
-                                : "exit=" + std::to_string(code);
-    }
-    if (!so.completed) out.incomplete_shards.push_back(tasks[i].index);
-  }
-  return out;
-}
-
-#endif
 
 }  // namespace cil::fabric

@@ -1,20 +1,19 @@
 // A fork-based worker supervisor for sharded sweeps.
 //
-// run_supervised() drives a fleet of up to `workers` child processes over a
-// list of shard tasks. Each child executes the caller's ShardWorker (which
-// runs the shard through BatchRunner and persists it via
-// CheckpointStore::write_shard) and _exit()s; the parent reaps, commits
-// successful shards into the manifest, and handles every failure mode a
-// real fleet has:
+// run_supervised() leases shards from a ShardLedger (fabric/ledger.h) and
+// runs each in one of up to `workers` child processes. A child executes
+// the caller's ShardWorker, which runs the shard through BatchRunner and
+// writes it with CheckpointStore::write_shard, the shard's commit, then
+// _exit()s. The parent reaps it, validates the shard file, and handles the
+// failure modes of a real fleet:
 //
-//   * CRASH (nonzero exit or a signal — including the fabric's own
-//     --chaos-kill-prob fault injection): the shard is requeued with
-//     exponential backoff, up to `retry_budget` retries.
-//   * HANG (`shard_timeout_seconds` exceeded): the child is SIGKILLed and
-//     treated as a crash.
-//   * BUDGET EXHAUSTED: the shard lands in SweepOutcome::incomplete_shards
-//     and the sweep degrades gracefully — every other shard still completes
-//     and the caller reports a partial summary with explicit gaps.
+//   * CRASH (nonzero exit or a signal, including --chaos-kill-prob): the
+//     shard is requeued behind the policy's doubling backoff, up to
+//     `retry_budget` retries.
+//   * HANG (the policy's `timeout_seconds` exceeded): the child is
+//     SIGKILLed and treated as a crash.
+//   * BUDGET SPENT: the shard lands in SweepOutcome::incomplete_shards and
+//     every other shard still completes: a partial summary, gaps explicit.
 //
 // Process-model contract: the parent must be effectively single-threaded
 // when it calls run_supervised (fork() in a multithreaded process clones
@@ -29,6 +28,7 @@
 #include <vector>
 
 #include "fabric/checkpoint.h"
+#include "fabric/ledger.h"
 #include "sched/batch.h"
 
 namespace cil::fabric {
@@ -41,13 +41,9 @@ struct ShardTask {
 };
 
 struct SupervisorOptions {
-  int workers = 2;                  ///< max concurrent child processes
-  double shard_timeout_seconds = 120.0;  ///< <= 0: no timeout
-  int retry_budget = 3;             ///< retries per shard after the first try
-  double backoff_initial_seconds = 0.1;
-  double backoff_factor = 2.0;
-  double backoff_max_seconds = 5.0;
-  bool verbose = false;             ///< per-event lines on stderr
+  int workers = 2;      ///< max concurrent child processes
+  ShardPolicy policy;   ///< timeout, retry budget and backoff per shard
+  bool verbose = false;  ///< per-event lines on stderr
 };
 
 /// What happened to one shard across all its attempts.
@@ -63,7 +59,7 @@ struct ShardOutcome {
 struct SweepOutcome {
   std::vector<ShardOutcome> shards;  ///< one per task, task order
   std::int64_t retries = 0;          ///< total relaunches across all shards
-  std::vector<int> incomplete_shards;  ///< indexes that exhausted the budget
+  std::vector<int> incomplete_shards;  ///< indexes that spent the budget
 
   bool complete() const { return incomplete_shards.empty(); }
 };
@@ -76,15 +72,13 @@ struct SweepOutcome {
 /// supervisor _exit()s with the returned code immediately after.
 using ShardWorker = std::function<int(const ShardTask& task, int attempt)>;
 
-/// Exponential backoff schedule: min(max, initial * factor^attempt).
-double backoff_seconds(const SupervisorOptions& options, int attempt);
-
 /// Drive `tasks` to completion (or budget exhaustion) with at most
-/// options.workers concurrent forked children. Tasks already committed in
-/// `store` are skipped and marked resumed. Successful children's shards are
-/// validated and committed into the manifest as they are reaped, so a
-/// SIGKILL of the SUPERVISOR itself loses at most the commit of in-flight
-/// shards — which the next open() adopts back as orphans.
+/// options.workers concurrent forked children, leasing shards in task
+/// order (the ledger numbers them by position). Tasks already complete in
+/// `store` are skipped and marked resumed. Successful children's shard
+/// files are validated as they are reaped. The files are the commits, so a
+/// SIGKILL of the SUPERVISOR itself loses nothing a worker finished
+/// writing: the next open() counts every valid shard file.
 SweepOutcome run_supervised(const std::vector<ShardTask>& tasks,
                             const SupervisorOptions& options,
                             CheckpointStore& store, const ShardWorker& worker);

@@ -30,22 +30,13 @@ int ms_until(Clock::time_point deadline) {
 
 }  // namespace
 
-/// One data-plane work item: a contiguous seed sub-range leased to at most
-/// one worker at a time. Guarded by shard_mu_.
-struct FleetService::Shard {
-  enum class State { kPending, kInFlight, kDone };
-  int index = 0;
-  SeedRange range;
-  int attempts = 0;              ///< failed REMOTE attempts so far
-  Clock::time_point not_before;  ///< backoff gate for remote retries
-  State state = State::kPending;
-};
-
-/// Shared commit state of the one running fleet sweep. Lives on
-/// run_fleet_sweep's stack; workers reach it via sweep_frame_ under
-/// shard_mu_, and it is unpublished before the frame unwinds.
+/// Shared state of the one running fleet sweep. Lives on run_fleet_sweep's
+/// stack; workers reach it via sweep_frame_ under shard_mu_, and it is
+/// unpublished before the frame unwinds.
 struct FleetService::SweepFrame {
-  std::map<int, fabric::ShardSummary>* results = nullptr;
+  std::vector<SeedRange> ranges;  ///< shard index -> seed range
+  fabric::ShardLedger ledger;
+  std::map<int, fabric::ShardSummary> results;  ///< done shards
   fabric::CheckpointStore* store = nullptr;
   const svc::EmitFrame* emit = nullptr;
   std::int64_t done_runs = 0;
@@ -60,7 +51,7 @@ FleetService::FleetService(FleetOptions options, svc::JobLimits limits)
   CIL_EXPECTS(options_.self >= 0 && options_.self < n);
   CIL_EXPECTS(options_.hb_interval_ms > 0 && options_.hb_timeout_ms > 0);
   CIL_EXPECTS(options_.hb_miss_limit >= 1);
-  CIL_EXPECTS(options_.retry_budget >= 0);
+  CIL_EXPECTS(options_.policy.retry_budget >= 0);
   CIL_EXPECTS(options_.chaos_drop_prob >= 0.0 &&
               options_.chaos_drop_prob <= 1.0);
   peers_.assign(static_cast<std::size_t>(n), PeerStatus{});
@@ -560,6 +551,15 @@ bool FleetService::chaos_gate() {
   return u < options_.chaos_drop_prob;
 }
 
+bool FleetService::connect_peer(LineClient& link, int q, int timeout_ms) {
+  if (link.connected()) return true;
+  std::string host;
+  int port = 0;
+  return split_host_port(options_.peers[static_cast<std::size_t>(q)], host,
+                         port) &&
+         link.connect(host, port, timeout_ms);
+}
+
 bool FleetService::exchange(LineClient& link, int q, const PeerMsg& req,
                             PeerMsg& resp) {
   if (chaos_gate()) {
@@ -567,14 +567,7 @@ bool FleetService::exchange(LineClient& link, int q, const PeerMsg& req,
     return false;
   }
   const int budget = options_.hb_timeout_ms;
-  if (!link.connected()) {
-    std::string host;
-    int port = 0;
-    if (!split_host_port(options_.peers[static_cast<std::size_t>(q)], host,
-                         port))
-      return false;
-    if (!link.connect(host, port, budget)) return false;
-  }
+  if (!connect_peer(link, q, budget)) return false;
   if (!link.send_line(peer_frame(req), budget)) return false;
   const auto deadline = Clock::now() + std::chrono::milliseconds(budget);
   // The server greets fresh connections with a hello frame and may batch
@@ -612,14 +605,7 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
           ? options_.shard_size
           : (spec.chunk > 0 ? spec.chunk : limits_.default_chunk);
   const SeedRange full{spec.first_seed, spec.seeds};
-  const std::vector<SeedRange> ranges = shard_seed_range(full, shard_size);
-
-  std::vector<Shard> shards(ranges.size());
-  for (std::size_t i = 0; i < ranges.size(); ++i) {
-    shards[i].index = static_cast<int>(i);
-    shards[i].range = ranges[i];
-    shards[i].not_before = Clock::now();
-  }
+  std::vector<SeedRange> ranges = shard_seed_range(full, shard_size);
 
   // Optional durable progress: resume committed shards from a previous
   // frontend incarnation instead of recomputing them. A checkpoint dir
@@ -631,11 +617,8 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
     try {
       store =
           std::make_unique<fabric::CheckpointStore>(options_.checkpoint_dir);
-      for (const int idx : store->open(svc::sweep_config(spec, shard_size))) {
-        if (idx < 0 || idx >= static_cast<int>(shards.size())) continue;
+      for (const int idx : store->open(svc::sweep_config(spec, shard_size)))
         results[idx] = store->load_shard(idx);
-        shards[static_cast<std::size_t>(idx)].state = Shard::State::kDone;
-      }
       if (!results.empty())
         note("resumed " + std::to_string(results.size()) +
              " committed shard(s) from checkpoint");
@@ -644,15 +627,16 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
            e.what());
       store.reset();
       results.clear();
-      for (Shard& s : shards) s.state = Shard::State::kPending;
     }
   }
 
-  SweepFrame frame;
-  frame.results = &results;
-  frame.store = store.get();
-  frame.emit = &emit;
-  for (const auto& [idx, shard] : results) {
+  std::vector<int> resumed;
+  for (const auto& [idx, shard] : results) resumed.push_back(idx);
+  const int num_shards = static_cast<int>(ranges.size());
+  SweepFrame frame{std::move(ranges),
+                   fabric::ShardLedger(num_shards, resumed, options_.policy),
+                   std::move(results), store.get(), &emit};
+  for (const auto& [idx, shard] : frame.results) {
     frame.done_runs += shard.range.num_runs;
     frame.decided += shard.summary.decided_runs;
     frame.total_steps += shard.summary.total_steps;
@@ -660,12 +644,11 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
 
   {
     std::lock_guard<std::mutex> lock(shard_mu_);
-    shards_ = &shards;
     sweep_frame_ = &frame;
   }
 
   // One dispatcher per remote peer; each leases shards while its peer is
-  // alive. This thread doubles as the local degradation worker.
+  // alive. This thread is the local rung of the degradation ladder.
   std::vector<std::thread> workers;
   for (int q = 0; q < size(); ++q) {
     if (q == options_.self) continue;
@@ -678,7 +661,6 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
     shard_cv_.notify_all();
     for (std::thread& w : workers) w.join();
     std::lock_guard<std::mutex> lock(shard_mu_);
-    shards_ = nullptr;
     sweep_frame_ = nullptr;
   };
 
@@ -686,6 +668,7 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
   try {
     for (;;) {
       int local_idx = -1;
+      SeedRange range;
       {
         std::unique_lock<std::mutex> lock(shard_mu_);
         if (cancel.load(std::memory_order_relaxed) ||
@@ -693,40 +676,18 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
           cancelled = true;
           break;
         }
-        if (std::all_of(shards.begin(), shards.end(), [](const Shard& s) {
-              return s.state == Shard::State::kDone;
-            }))
-          break;
-        const int remote_alive = [this] {
-          std::lock_guard<std::mutex> l(mu_);
-          int n = 0;
-          for (int q = 0; q < size(); ++q)
-            if (q != options_.self &&
-                peers_[static_cast<std::size_t>(q)].alive)
-              ++n;
-          return n;
-        }();
-        for (Shard& s : shards) {
-          if (s.state != Shard::State::kPending) continue;
-          // Local execution is the bottom of the degradation ladder: a
-          // shard whose remote retry budget is spent, or any shard when no
-          // peer is alive to take it. Backoff gates do not apply — local
-          // never fails.
-          if (s.attempts >= options_.retry_budget || remote_alive == 0) {
-            s.state = Shard::State::kInFlight;
-            local_idx = s.index;
-            break;
-          }
-        }
+        if (frame.ledger.complete()) break;
+        // Local execution never fails, so it takes a shard whose remote
+        // budget is spent, or, when no peer is alive to take one, any
+        // pending shard with its backoff gate ignored.
+        local_idx = frame.ledger.lease_spent();
+        if (local_idx < 0 && alive_count() == 1)  // this daemon alone
+          local_idx = frame.ledger.lease(Clock::time_point::max());
         if (local_idx < 0) {
           shard_cv_.wait_for(lock, std::chrono::milliseconds(50));
           continue;
         }
-      }
-      SeedRange range;
-      {
-        std::lock_guard<std::mutex> lock(shard_mu_);
-        range = shards[static_cast<std::size_t>(local_idx)].range;
+        range = frame.ranges[static_cast<std::size_t>(local_idx)];
       }
       note("shard " + std::to_string(local_idx) + " running locally");
       const fabric::ShardSummary out =
@@ -747,7 +708,7 @@ void FleetService::run_fleet_sweep(const svc::JobSpec& spec,
     throw svc::JobCancelled();
 
   fabric::SweepSummary merged;
-  for (const auto& [idx, shard] : results) merged.add(shard);
+  for (const auto& [idx, shard] : frame.results) merged.add(shard);
   CIL_CHECK(merged.contiguous());
   emit(svc::frame_result(spec.id, "summary",
                          fabric::shard_summary_to_json(merged.to_shard())));
@@ -759,59 +720,39 @@ void FleetService::peer_worker(int q, const svc::JobSpec& spec,
   for (;;) {
     int idx = -1;
     SeedRange range;
-    int attempts = 0;
+    int attempt = 0;
     {
       std::unique_lock<std::mutex> lock(shard_mu_);
       for (;;) {
         if (cancel.load(std::memory_order_relaxed) ||
             sweep_abort_.load(std::memory_order_relaxed) ||
-            shards_ == nullptr)
+            sweep_frame_ == nullptr)
           return;
         const bool peer_alive = [this, q] {
           std::lock_guard<std::mutex> l(mu_);
           return peers_[static_cast<std::size_t>(q)].alive;
         }();
         if (peer_alive) {
-          const auto now = Clock::now();
-          for (Shard& s : *shards_) {
-            if (s.state != Shard::State::kPending) continue;
-            if (s.attempts < options_.retry_budget && now >= s.not_before) {
-              s.state = Shard::State::kInFlight;
-              idx = s.index;
-              range = s.range;
-              attempts = s.attempts;
-              break;
-            }
-          }
+          idx = sweep_frame_->ledger.lease(Clock::now());
           if (idx >= 0) break;
         }
         shard_cv_.wait_for(lock, std::chrono::milliseconds(25));
       }
+      range = sweep_frame_->ranges[static_cast<std::size_t>(idx)];
+      attempt = sweep_frame_->ledger.failures(idx);
     }
 
-    Shard snapshot;
-    snapshot.index = idx;
-    snapshot.range = range;
-    snapshot.attempts = attempts;
     fabric::ShardSummary out;
-    const bool ok = dispatch_shard(link, q, spec, snapshot, out);
+    const bool ok = dispatch_shard(link, q, spec, idx, range, attempt, out);
 
     std::lock_guard<std::mutex> lock(shard_mu_);
-    if (shards_ == nullptr) return;
-    Shard& s = (*shards_)[static_cast<std::size_t>(idx)];
+    if (sweep_frame_ == nullptr) return;
     if (ok) {
       commit_shard_result(idx, out, spec);
     } else {
-      ++s.attempts;
-      int backoff = options_.backoff_ms;
-      for (int a = 1; a < s.attempts && backoff < options_.backoff_max_ms;
-           ++a)
-        backoff *= 2;
-      backoff = std::min(backoff, options_.backoff_max_ms);
-      s.not_before = Clock::now() + std::chrono::milliseconds(backoff);
-      s.state = Shard::State::kPending;
+      (void)sweep_frame_->ledger.fail(idx, Clock::now());
       note("shard " + std::to_string(idx) + " failed on peer " +
-           std::to_string(q) + " (attempt " + std::to_string(s.attempts) +
+           std::to_string(q) + " (attempt " + std::to_string(attempt + 1) +
            ")");
     }
     shard_cv_.notify_all();
@@ -819,34 +760,27 @@ void FleetService::peer_worker(int q, const svc::JobSpec& spec,
 }
 
 bool FleetService::dispatch_shard(LineClient& link, int q,
-                                  const svc::JobSpec& spec,
-                                  const Shard& shard,
+                                  const svc::JobSpec& spec, int index,
+                                  const SeedRange& range, int attempt,
                                   fabric::ShardSummary& out) {
-  if (chaos_gate()) {
+  // A failure closes the link, so a late reply cannot reach the next
+  // shard; an injected drop looks the same.
+  const auto drop = [&link] {
     link.close();
     return false;
-  }
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(options_.shard_timeout_ms);
-  if (!link.connected()) {
-    std::string host;
-    int port = 0;
-    if (!split_host_port(options_.peers[static_cast<std::size_t>(q)], host,
-                         port))
-      return false;
-    if (!link.connect(host, port, std::min(options_.shard_timeout_ms, 2000)))
-      return false;
-  }
+  };
+  if (chaos_gate()) return drop();
+  const auto deadline = fabric::attempt_deadline(options_.policy, Clock::now());
+  if (!connect_peer(link, q, std::min(ms_until(deadline), 2000))) return false;
 
   // A shard is a plain single-chunk sweep job on the peer — the same
   // cilcoord.job.v1 any client speaks, so peers need no fleet-specific
   // data path and the shard result is the standard summary artifact.
   svc::JobSpec request = spec;
-  request.id = "fs" + std::to_string(shard.index) + "a" +
-               std::to_string(shard.attempts);
-  request.first_seed = shard.range.first_seed;
-  request.seeds = shard.range.num_runs;
-  request.chunk = shard.range.num_runs;
+  request.id = "fs" + std::to_string(index) + "a" + std::to_string(attempt);
+  request.first_seed = range.first_seed;
+  request.seeds = range.num_runs;
+  request.chunk = range.num_runs;
   request.fleet = false;
   const std::string& id = request.id;
   if (!link.send_line(svc::job_spec_to_json(request).dump() + "\n",
@@ -854,64 +788,36 @@ bool FleetService::dispatch_shard(LineClient& link, int q,
     return false;
 
   bool got_result = false;
-  fabric::ShardSummary parsed;
   for (;;) {
     const int left = ms_until(deadline);
-    if (left == 0) {
-      link.close();  // the peer may still answer later; do not desync
-      return false;
-    }
+    if (left == 0) return drop();
     std::string line;
     if (!link.read_line(line, left)) return false;
-    obs::Json doc;
     try {
-      doc = obs::Json::parse(line, obs::ParseLimits::untrusted());
+      const obs::Json doc =
+          obs::Json::parse(line, obs::ParseLimits::untrusted());
+      const obs::Json* ev = doc.find("event");
+      if (ev == nullptr || !ev->is_string()) continue;
+      const std::string& event = ev->as_string();
+      if (event == "hello" || event == "progress") continue;
+      // A frame for a job we never sent means a broken link state.
+      const obs::Json* jid = doc.find("id");
+      if (jid == nullptr || !jid->is_string() || jid->as_string() != id ||
+          event == "error")
+        return drop();
+      if (event == "result") {
+        const obs::Json* summary = doc.find("summary");
+        if (summary == nullptr) return drop();
+        out = fabric::shard_summary_from_json(*summary);
+        got_result = true;
+      }
+      if (event == "done") break;
     } catch (const ContractViolation&) {
-      link.close();
-      return false;
+      return drop();
     }
-    const obs::Json* ev = doc.find("event");
-    if (ev == nullptr || !ev->is_string()) continue;
-    const std::string& event = ev->as_string();
-    if (event == "hello" || event == "progress") continue;
-    const obs::Json* jid = doc.find("id");
-    if (jid == nullptr || !jid->is_string() || jid->as_string() != id) {
-      link.close();  // a frame for a job we never sent: broken link state
-      return false;
-    }
-    if (event == "accepted") continue;
-    if (event == "error") {
-      link.close();
-      return false;
-    }
-    if (event == "result") {
-      const obs::Json* summary = doc.find("summary");
-      if (summary == nullptr) {
-        link.close();
-        return false;
-      }
-      try {
-        parsed = fabric::shard_summary_from_json(*summary);
-      } catch (const ContractViolation&) {
-        link.close();
-        return false;
-      }
-      got_result = true;
-      continue;
-    }
-    if (event == "done") break;
-  }
-  if (!got_result) {
-    link.close();
-    return false;
   }
   // The peer computed what we asked for, or it does not count.
-  if (parsed.range.first_seed != shard.range.first_seed ||
-      parsed.range.num_runs != shard.range.num_runs) {
-    link.close();
-    return false;
-  }
-  out = std::move(parsed);
+  if (!got_result || !(out.range == range)) return drop();
   return true;
 }
 
@@ -919,19 +825,14 @@ void FleetService::commit_shard_result(int index,
                                        const fabric::ShardSummary& shard,
                                        const svc::JobSpec& spec) {
   SweepFrame* frame = sweep_frame_;
-  CIL_CHECK(frame != nullptr && shards_ != nullptr);
-  Shard& s = (*shards_)[static_cast<std::size_t>(index)];
-  if (s.state == Shard::State::kDone) return;  // late duplicate
-  s.state = Shard::State::kDone;
-  (*frame->results)[index] = shard;
+  CIL_CHECK(frame != nullptr);
+  if (!frame->ledger.commit(index)) return;  // late duplicate
+  frame->results[index] = shard;
   frame->done_runs += shard.range.num_runs;
   frame->decided += shard.summary.decided_runs;
   frame->total_steps += shard.summary.total_steps;
-  if (frame->store != nullptr) {
-    // Two-phase like the fabric supervisor: shard file, then manifest.
-    if (frame->store->write_shard(index, shard))
-      frame->store->commit_shard(index);
-  }
+  // The atomically written shard file is the checkpoint's commit.
+  if (frame->store != nullptr) (void)frame->store->write_shard(index, shard);
   (*frame->emit)(svc::frame_progress(spec.id, frame->done_runs, spec.seeds,
                                      frame->decided, frame->total_steps));
 }

@@ -20,26 +20,26 @@
 //   so the fleet converges to one live leader.
 //
 //   DATA PLANE (run_fleet_sweep, on a JobQueue worker thread): a sweep
-//   tagged "fleet":true is cut into shards (the fabric's SeedRange unit);
-//   one dispatcher thread per peer leases shards and runs each as a plain
-//   cilcoord.job.v1 sweep on that peer over a dedicated job link, with a
-//   per-shard wall-clock deadline. Failures (dead peer, timeout, error
-//   frame, malformed summary) requeue the shard with exponential backoff;
-//   a shard that exhausts its retry budget — or any shard when zero peers
-//   are alive — runs locally, so the sweep completes under arbitrary peer
-//   churn, degrading at worst to the serial path. Shard summaries fold
-//   through the fabric merge monoid, so the final batch_summary.v2 is
-//   bit-identical to one serial BatchRunner run of the whole range
-//   (what `sweep --serial --verify-against` checks). When checkpoint_dir
-//   is set, committed shards persist through a fabric::CheckpointStore
-//   and a restarted frontend resumes instead of recomputing.
+//   tagged "fleet":true is cut into shards (the fabric's SeedRange unit),
+//   leased from one fabric::ShardLedger (fabric/ledger.h), the bookkeeping
+//   the forked-worker supervisor uses too. One dispatcher thread per peer
+//   leases while its peer is alive and runs each shard as a plain
+//   cilcoord.job.v1 sweep there, under the policy's per-shard deadline.
+//   Shard summaries fold through the fabric merge monoid, so the final
+//   batch_summary.v2 is bit-identical to one serial BatchRunner run of the
+//   whole range (what `sweep --serial --verify-against` checks). With
+//   checkpoint_dir set, each finished shard's atomically written file is
+//   its commit (fabric::CheckpointStore), and a restarted frontend
+//   resumes.
 //
-// Degradation ladder (documented in README "Fleet mode"):
-//   all peers up -> full fan-out
-//   some peers dead/slow -> retry + reassignment to surviving peers
-//   retry budget exhausted on a shard -> that shard runs locally
-//   zero peers alive -> the whole remainder runs locally
-//   (every rung preserves the bit-identical merged summary)
+// Degradation ladder (README "Fleet mode"), every rung bit-identical:
+//   all peers up -> each dispatcher leases shards as their gates pass
+//   a peer dies, times out or answers garbage -> ledger.fail requeues the
+//     shard behind its doubling backoff gate, for any live peer
+//   a shard's budget is spent (policy.retry_budget retries after its
+//     first remote attempt) -> the local rung leases it and runs it here
+//   zero peers alive -> the local rung leases any pending shard, at
+//     time_point::max() so no gate holds it
 #pragma once
 
 #ifndef _WIN32
@@ -53,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "fabric/ledger.h"
 #include "fleet/client.h"
 #include "fleet/election.h"
 #include "fleet/wire.h"
@@ -81,10 +82,12 @@ struct FleetOptions {
 
   // Shard dispatch.
   std::int64_t shard_size = 0;  ///< 0 = request chunk / server default
-  int shard_timeout_ms = 15'000;  ///< per-shard wall-clock deadline
-  int retry_budget = 3;  ///< remote attempts before a shard goes local
-  int backoff_ms = 50;   ///< base requeue backoff (doubles per attempt)
-  int backoff_max_ms = 2'000;
+  /// Per-shard remote deadline, and the remote retries (after the first
+  /// attempt) before a shard goes local.
+  fabric::ShardPolicy policy{.timeout_seconds = 15.0,
+                             .retry_budget = 2,
+                             .backoff_initial_seconds = 0.05,
+                             .backoff_max_seconds = 2.0};
 
   // Fabric-level chaos injection (frontend side; peer-side kills are the
   // server's JobLimits chaos knobs). Deterministic from chaos_seed.
@@ -141,8 +144,7 @@ class FleetService final : public svc::FleetRunner {
   obs::Json status_info() const;  ///< the status frame's `info` payload
 
  private:
-  struct Shard;       ///< data-plane work item (fleet.cpp)
-  struct SweepFrame;  ///< one running sweep's shared commit state
+  struct SweepFrame;  ///< one running sweep's ledger and results
 
   void control_loop();
   /// One control-plane tick: due heartbeats, then election work.
@@ -153,6 +155,8 @@ class FleetService final : public svc::FleetRunner {
   void start_election_locked(std::int64_t target_round);
   void announce_leader(std::vector<LineClient>& links, std::int64_t round,
                        int leader);
+  /// Connect `link` to peer q unless it is connected already.
+  bool connect_peer(LineClient& link, int q, int timeout_ms);
   /// Send req and read the matching peer reply within hb_timeout_ms.
   /// Applies chaos. Returns false on drop/timeout/parse failure.
   bool exchange(LineClient& link, int q, const PeerMsg& req, PeerMsg& resp);
@@ -164,11 +168,13 @@ class FleetService final : public svc::FleetRunner {
   // Data plane.
   void peer_worker(int q, const svc::JobSpec& spec,
                    const std::atomic<bool>& cancel);
-  /// Run one shard remotely on q. False on any failure (caller requeues).
+  /// Run shard `index` (seeds `range`, `attempt` failures so far)
+  /// remotely on q. False on any failure (caller requeues).
   bool dispatch_shard(LineClient& link, int q, const svc::JobSpec& spec,
-                      const Shard& shard, fabric::ShardSummary& out);
-  /// Record a finished shard: totals, checkpoint, progress frame. Caller
-  /// holds shard_mu_.
+                      int index, const SeedRange& range, int attempt,
+                      fabric::ShardSummary& out);
+  /// Record a finished shard: ledger, totals, shard file, progress frame.
+  /// Caller holds shard_mu_.
   void commit_shard_result(int index, const fabric::ShardSummary& shard,
                            const svc::JobSpec& spec);
 
@@ -195,10 +201,9 @@ class FleetService final : public svc::FleetRunner {
 
   // Data plane state (valid while a fleet sweep is running).
   std::mutex sweep_mu_;  ///< one fleet sweep at a time
-  std::mutex shard_mu_;
+  std::mutex shard_mu_;  ///< guards sweep_frame_ and what it points to
   std::condition_variable shard_cv_;
-  std::vector<Shard>* shards_ = nullptr;     ///< owned by run_fleet_sweep
-  SweepFrame* sweep_frame_ = nullptr;        ///< likewise; guarded by shard_mu_
+  SweepFrame* sweep_frame_ = nullptr;  ///< owned by run_fleet_sweep
   std::atomic<bool> sweep_abort_{false};
 };
 

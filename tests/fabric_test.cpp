@@ -10,13 +10,17 @@
 //     partition of a seed range — in any order, any association — equals
 //     the single-shot BatchSummary bit-for-bit;
 //   * overlap rejection, gap detection, and partial concatenation;
-//   * CheckpointStore: fresh open, commit, resume, orphan adoption, config
-//     mismatch rejection, and crash-atomic writes;
+//   * CheckpointStore: fresh open, commit, resume from shard files alone,
+//     config mismatch rejection, crash-atomic writes, and a manifest that
+//     no commit rewrites;
+//   * ShardLedger: lease order, the backoff gate, the retry budget, and
+//     late duplicate commits, on synthetic time points;
 //   * the sweep spec (fabric::Sweep): every invalid field is refused by
 //     name, and a Sweep runs the recipe — protocol, inputs, scheduler
 //     seeding — that `sweep`, coordd and the fleet have always written.
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -29,12 +33,15 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include "core/bounded_three.h"
 #include "core/two_process.h"
 #include "core/unbounded.h"
 #include "fabric/checkpoint.h"
+#include "fabric/ledger.h"
 #include "fabric/summary.h"
 #include "fabric/sweep.h"
 #include "obs/export.h"
@@ -448,7 +455,7 @@ TEST(AtomicWrite, WritesContentAndReplacesExistingFiles) {
 
 TEST(AtomicWrite, ConcurrentWritersToOnePathAllSucceed) {
   // Threads of one process racing on one destination (e.g. two
-  // CheckpointStores rewriting a manifest): every write must land whole,
+  // supervisors writing one shard file): every write must land whole,
   // and the file must end as exactly one writer's complete content.
   const std::string dir = temp_dir("atomic_write_race");
   std::filesystem::create_directories(dir);
@@ -521,12 +528,12 @@ TEST(CheckpointStore, FreshOpenCommitAndResume) {
     EXPECT_EQ(store.shard_range(2), (SeedRange{17, 4}));
 
     ASSERT_TRUE(store.write_shard(1, compute_shard(store, 1)));
-    EXPECT_FALSE(store.is_complete(1));  // written but not committed
+    EXPECT_FALSE(store.is_complete(1));  // written, not yet validated here
     ASSERT_TRUE(store.commit_shard(1));
     EXPECT_TRUE(store.is_complete(1));
   }
   {
-    // Reopen: the manifest remembers the commit.
+    // Reopen: the shard file is the commit.
     CheckpointStore store(dir);
     const std::vector<int> done = store.open(config);
     ASSERT_EQ(done, (std::vector<int>{1}));
@@ -537,9 +544,9 @@ TEST(CheckpointStore, FreshOpenCommitAndResume) {
 }
 
 TEST(CheckpointStore, AdoptsOrphanedShardFilesOnOpen) {
-  // A worker that died between write_shard and commit leaves a valid file
-  // not listed in the manifest; open() must claim it, because determinism
-  // makes it byte-equal to what a retry would recompute.
+  // A worker whose supervisor died before it reaped the worker leaves a
+  // valid file that no commit_shard saw; open() must claim it, because
+  // determinism makes it byte-equal to what a retry would recompute.
   const std::string dir = temp_dir("ckpt_orphan");
   const SweepConfig config = small_config();
   {
@@ -622,12 +629,122 @@ TEST(CheckpointStore, WriteShardRejectsTheWrongRange) {
   EXPECT_THROW((void)store.write_shard(0, wrong), ContractViolation);
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(CheckpointStore, CommitsNeverRewriteTheManifest) {
+  // The shard file is the commit: the manifest is written once, by the
+  // open that finds none, and no commit or later open replaces it.
+  const std::string dir = temp_dir("ckpt_write_once");
+  const SweepConfig config = small_config();
+  CheckpointStore store(dir);
+  ASSERT_TRUE(store.open(config).empty());
+  struct stat first {};
+  ASSERT_EQ(::stat(store.manifest_path().c_str(), &first), 0);
+  const std::string bytes = read_text(store.manifest_path());
+  const auto unchanged = [&] {
+    struct stat now {};
+    ASSERT_EQ(::stat(store.manifest_path().c_str(), &now), 0);
+    EXPECT_EQ(now.st_ino, first.st_ino);
+    EXPECT_EQ(read_text(store.manifest_path()), bytes);
+  };
+
+  for (int i = 0; i < store.num_shards(); ++i) {
+    ASSERT_TRUE(store.write_shard(i, compute_shard(store, i)));
+    ASSERT_TRUE(store.commit_shard(i));
+  }
+  unchanged();
+  CheckpointStore reopen(dir);
+  EXPECT_EQ(reopen.open(config), (std::vector<int>{0, 1, 2}));
+  unchanged();
+}
+
 TEST(CheckpointStore, SweepConfigJsonRoundTrips) {
   SweepConfig config = small_config();
   config.range.first_seed = (1ULL << 60) + 9;
   const SweepConfig back = fabric::sweep_config_from_json(
       Json::parse(fabric::sweep_config_to_json(config).dump()));
   EXPECT_EQ(back, config);
+}
+
+// -- the shard ledger --------------------------------------------------------
+
+using fabric::ShardClock;
+using fabric::ShardLedger;
+using fabric::ShardPolicy;
+using std::chrono::milliseconds;
+
+const ShardClock::time_point kT0{std::chrono::seconds(100)};
+
+ShardPolicy ledger_policy(int retry_budget, double initial, double max) {
+  ShardPolicy policy;
+  policy.retry_budget = retry_budget;
+  policy.backoff_initial_seconds = initial;
+  policy.backoff_max_seconds = max;
+  return policy;
+}
+
+TEST(ShardLedger, LeasesTheLowestReadyIndexAndNeverAResumedOne) {
+  ShardLedger ledger(4, {1}, ledger_policy(3, 0.1, 1.0));
+  EXPECT_EQ(ledger.lease(kT0), 0);
+  EXPECT_EQ(ledger.lease(kT0), 2);  // 1 was resumed
+  EXPECT_TRUE(ledger.fail(0, kT0));
+  EXPECT_EQ(ledger.lease(kT0), 3);  // 0 waits behind its gate
+  EXPECT_EQ(ledger.lease(kT0 + milliseconds(100)), 0);  // lowest, once ready
+  EXPECT_EQ(ledger.lease(ShardClock::time_point::max()), -1);
+  EXPECT_FALSE(ledger.settled());  // three shards are out on lease
+  for (const int i : {0, 2, 3}) EXPECT_TRUE(ledger.commit(i));
+  EXPECT_TRUE(ledger.settled());
+  EXPECT_TRUE(ledger.complete());
+}
+
+TEST(ShardLedger, TheBackoffGateDoublesUpToTheCap) {
+  ShardLedger ledger(1, {}, ledger_policy(5, 0.1, 0.3));
+  ShardClock::time_point t = kT0;
+  for (const int gate_ms : {100, 200, 300, 300}) {
+    ASSERT_EQ(ledger.lease(t), 0);
+    ASSERT_TRUE(ledger.fail(0, t));
+    EXPECT_EQ(ledger.lease(t + milliseconds(gate_ms - 1)), -1) << gate_ms;
+    t += milliseconds(gate_ms);
+  }
+  // Leasing at time_point::max() passes any gate.
+  ShardLedger gated(1, {}, ledger_policy(5, 10.0, 10.0));
+  ASSERT_EQ(gated.lease(kT0), 0);
+  ASSERT_TRUE(gated.fail(0, kT0));
+  EXPECT_EQ(gated.lease(kT0 + milliseconds(9'999)), -1);
+  EXPECT_EQ(gated.lease(ShardClock::time_point::max()), 0);
+}
+
+TEST(ShardLedger, ABudgetOfTwoGivesThreeLeasesThenTheShardIsSpent) {
+  ShardLedger ledger(2, {1}, ledger_policy(2, 0.0, 0.0));
+  EXPECT_EQ(ledger.lease(kT0), 0);
+  EXPECT_TRUE(ledger.fail(0, kT0));
+  EXPECT_EQ(ledger.lease(kT0), 0);
+  EXPECT_TRUE(ledger.fail(0, kT0));
+  EXPECT_EQ(ledger.lease(kT0), 0);
+  EXPECT_FALSE(ledger.fail(0, kT0));  // the third failure spends it
+  EXPECT_EQ(ledger.failures(0), 3);
+  EXPECT_EQ(ledger.lease(ShardClock::time_point::max()), -1);
+  EXPECT_EQ(ledger.spent(), (std::vector<int>{0}));
+  EXPECT_TRUE(ledger.settled());
+  EXPECT_FALSE(ledger.complete());
+
+  // A driver with a fallback that never fails can still take it.
+  EXPECT_EQ(ledger.lease_spent(), 0);
+  EXPECT_TRUE(ledger.spent().empty());
+  EXPECT_FALSE(ledger.settled());
+  EXPECT_TRUE(ledger.commit(0));
+  EXPECT_TRUE(ledger.complete());
+}
+
+TEST(ShardLedger, ALateDuplicateCommitReturnsFalse) {
+  ShardLedger ledger(2, {1}, ledger_policy(3, 0.1, 1.0));
+  EXPECT_EQ(ledger.lease(kT0), 0);
+  EXPECT_TRUE(ledger.commit(0));
+  EXPECT_FALSE(ledger.commit(0));
+  EXPECT_FALSE(ledger.commit(1));  // resumed: done before any lease
 }
 
 // -- the sweep spec ----------------------------------------------------------

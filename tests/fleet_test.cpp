@@ -18,12 +18,8 @@
 // Linux-only, like the libraries under test.
 #ifndef _WIN32
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -48,7 +44,6 @@
 #include "svc/server.h"
 #include "svc/wire.h"
 #include "util/check.h"
-#include "util/net.h"
 
 namespace cil::fleet {
 namespace {
@@ -277,62 +272,82 @@ std::string temp_path(const std::string& stem) {
   return p;
 }
 
-/// Reserve `k` distinct ephemeral ports by binding listeners, then release
-/// them. The tiny rebind race is accepted — tests retry nothing subtler
-/// than a failed Server::start().
-std::vector<int> pick_ports(int k) {
-  std::vector<int> fds, ports;
-  for (int i = 0; i < k; ++i) {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;
-    EXPECT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-                     sizeof addr), 0);
-    socklen_t len = sizeof addr;
-    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len), 0);
-    ports.push_back(ntohs(addr.sin_port));
-    fds.push_back(fd);
+/// Forwards a server's fleet sweeps to the FleetService that Node::start
+/// builds after the server has bound its port.
+struct FleetForwarder final : svc::FleetRunner {
+  FleetService* target = nullptr;
+  void run_fleet_sweep(const svc::JobSpec& spec,
+                       const std::atomic<bool>& cancel,
+                       const svc::EmitFrame& emit) override {
+    target->run_fleet_sweep(spec, cancel, emit);
   }
-  for (const int fd : fds) (void)net::close_retry(fd);
-  return ports;
-}
+};
 
 /// One fleet member: a FleetService wired into a real svc::Server, loop on
-/// a background thread — what tools/coordd assembles, in-process.
+/// a background thread — what tools/coordd assembles, in-process. Built in
+/// two steps, so a fleet's roster can name ports the kernel already bound:
+/// the constructor binds a server on port 0, and start() builds the
+/// FleetService and runs both. The loop serves no frame before start().
 struct Node {
+  FleetForwarder forward;
   std::unique_ptr<FleetService> fleet;
   std::unique_ptr<svc::Server> server;
   std::thread loop;
 
-  Node(int port, FleetOptions fopt, svc::JobLimits limits = {}) {
-    fleet = std::make_unique<FleetService>(std::move(fopt), limits);
+  Node() {
     svc::ServerOptions so;
-    so.port = port;
+    so.port = 0;
     so.job_workers = 2;
-    so.job_limits = limits;
-    so.fleet = fleet.get();
-    so.peer_handler = [f = fleet.get()](const Json& doc) {
-      return f->handle_peer_frame(doc);
+    so.fleet = &forward;
+    so.peer_handler = [this](const Json& doc) {
+      return fleet->handle_peer_frame(doc);
     };
     server = std::make_unique<svc::Server>(std::move(so));
     EXPECT_TRUE(server->start());
+  }
+
+  Node(const Node&) = delete;  // the server and the loop hold `this`
+  Node& operator=(const Node&) = delete;
+
+  int port() const { return server->port(); }
+  std::string address() const {
+    return "127.0.0.1:" + std::to_string(port());
+  }
+
+  void start(FleetOptions fopt) {
+    fleet = std::make_unique<FleetService>(std::move(fopt), svc::JobLimits{});
+    forward.target = fleet.get();
     loop = std::thread([this] { server->run(); });
     fleet->start();
   }
 
   ~Node() { kill(); }
 
-  /// Stop everything, abruptly from the peers' point of view.
+  /// Stop everything, abruptly from the peers' point of view. The server
+  /// goes too, so its listener refuses connections as a dead daemon's
+  /// would; a live listener would accept a shard and never answer.
   void kill() {
     if (!loop.joinable()) return;
     fleet->stop();
     server->stop();
     loop.join();
+    server.reset();
   }
 };
+
+/// Bind `k` nodes on port 0; the roster is their bound addresses.
+std::vector<std::unique_ptr<Node>> bind_nodes(int k) {
+  std::vector<std::unique_ptr<Node>> nodes;
+  for (int i = 0; i < k; ++i) nodes.push_back(std::make_unique<Node>());
+  return nodes;
+}
+
+std::vector<std::string> roster_of(
+    const std::vector<std::unique_ptr<Node>>& nodes) {
+  std::vector<std::string> r;
+  for (const auto& n : nodes) r.push_back(n->address());
+  return r;
+}
 
 FleetOptions fast_fleet(int self, const std::vector<std::string>& roster) {
   FleetOptions f;
@@ -342,14 +357,8 @@ FleetOptions fast_fleet(int self, const std::vector<std::string>& roster) {
   f.hb_timeout_ms = 250;
   f.hb_miss_limit = 2;
   f.startup_grace_ms = 100;
-  f.shard_timeout_ms = 20'000;
+  f.policy.timeout_seconds = 20.0;
   return f;
-}
-
-std::vector<std::string> roster_for(const std::vector<int>& ports) {
-  std::vector<std::string> r;
-  for (const int p : ports) r.push_back("127.0.0.1:" + std::to_string(p));
-  return r;
 }
 
 /// All live nodes agree on one live leader.
@@ -369,17 +378,14 @@ bool converged(const std::vector<std::unique_ptr<Node>>& nodes) {
 }
 
 TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
-  const std::vector<int> ports = pick_ports(3);
-  const auto roster = roster_for(ports);
+  std::vector<std::unique_ptr<Node>> nodes = bind_nodes(3);
+  const auto roster = roster_of(nodes);
   std::vector<std::string> logs;
-
-  std::vector<std::unique_ptr<Node>> nodes;
   for (int i = 0; i < 3; ++i) {
     FleetOptions f = fast_fleet(i, roster);
     logs.push_back(temp_path("fleet_elect" + std::to_string(i) + ".jsonl"));
     f.election_log = logs.back();
-    nodes.push_back(std::make_unique<Node>(ports[static_cast<std::size_t>(i)],
-                                           std::move(f)));
+    nodes[static_cast<std::size_t>(i)]->start(std::move(f));
   }
   ASSERT_TRUE(wait_until([&] { return converged(nodes); }))
       << "leaders: " << nodes[0]->fleet->leader() << " "
@@ -423,12 +429,10 @@ TEST(FleetService, TrioElectsOneLiveLeaderAndLogsTranscript) {
 }
 
 TEST(FleetService, KillingTheLeaderTriggersReelectionAmongSurvivors) {
-  const std::vector<int> ports = pick_ports(3);
-  const auto roster = roster_for(ports);
-  std::vector<std::unique_ptr<Node>> nodes;
+  std::vector<std::unique_ptr<Node>> nodes = bind_nodes(3);
+  const auto roster = roster_of(nodes);
   for (int i = 0; i < 3; ++i)
-    nodes.push_back(std::make_unique<Node>(
-        ports[static_cast<std::size_t>(i)], fast_fleet(i, roster)));
+    nodes[static_cast<std::size_t>(i)]->start(fast_fleet(i, roster));
   ASSERT_TRUE(wait_until([&] { return converged(nodes); }));
 
   const int first = nodes[0]->fleet->leader();
@@ -518,18 +522,16 @@ fabric::ShardSummary submit_fleet_sweep(int port, std::uint64_t first_seed,
 }
 
 TEST(FleetSweep, FansOutAndMergesBitIdentically) {
-  const std::vector<int> ports = pick_ports(3);
-  const auto roster = roster_for(ports);
-  std::vector<std::unique_ptr<Node>> nodes;
+  std::vector<std::unique_ptr<Node>> nodes = bind_nodes(3);
+  const auto roster = roster_of(nodes);
   for (int i = 0; i < 3; ++i)
-    nodes.push_back(std::make_unique<Node>(
-        ports[static_cast<std::size_t>(i)], fast_fleet(i, roster)));
+    nodes[static_cast<std::size_t>(i)]->start(fast_fleet(i, roster));
   ASSERT_TRUE(wait_until([&] { return converged(nodes); }));
 
   constexpr std::uint64_t kFirst = 11;
   constexpr std::int64_t kSeeds = 500, kSteps = 20'000, kChunk = 40;
   const fabric::ShardSummary got =
-      submit_fleet_sweep(ports[0], kFirst, kSeeds, kSteps, kChunk);
+      submit_fleet_sweep(nodes[0]->port(), kFirst, kSeeds, kSteps, kChunk);
   EXPECT_EQ(got.range.first_seed, kFirst);
   EXPECT_EQ(got.range.num_runs, kSeeds);
   EXPECT_TRUE(fabric::deterministic_fields_equal(
@@ -537,15 +539,13 @@ TEST(FleetSweep, FansOutAndMergesBitIdentically) {
 }
 
 TEST(FleetSweep, PeerDeathMidSweepReassignsItsShards) {
-  const std::vector<int> ports = pick_ports(3);
-  const auto roster = roster_for(ports);
-  std::vector<std::unique_ptr<Node>> nodes;
+  std::vector<std::unique_ptr<Node>> nodes = bind_nodes(3);
+  const auto roster = roster_of(nodes);
   for (int i = 0; i < 3; ++i) {
     FleetOptions f = fast_fleet(i, roster);
-    f.retry_budget = 2;
-    f.backoff_ms = 20;
-    nodes.push_back(std::make_unique<Node>(
-        ports[static_cast<std::size_t>(i)], std::move(f)));
+    f.policy.retry_budget = 1;  // two remote attempts, then local
+    f.policy.backoff_initial_seconds = 0.02;
+    nodes[static_cast<std::size_t>(i)]->start(std::move(f));
   }
   ASSERT_TRUE(wait_until([&] { return converged(nodes); }));
 
@@ -557,7 +557,7 @@ TEST(FleetSweep, PeerDeathMidSweepReassignsItsShards) {
     nodes[1]->kill();
   });
   const fabric::ShardSummary got =
-      submit_fleet_sweep(ports[0], kFirst, kSeeds, kSteps, kChunk);
+      submit_fleet_sweep(nodes[0]->port(), kFirst, kSeeds, kSteps, kChunk);
   killer.join();
   EXPECT_EQ(got.range.num_runs, kSeeds);
   EXPECT_TRUE(fabric::deterministic_fields_equal(
@@ -565,27 +565,31 @@ TEST(FleetSweep, PeerDeathMidSweepReassignsItsShards) {
 }
 
 TEST(FleetSweep, SingleMemberFleetDegradesToLocalExecution) {
-  const std::vector<int> ports = pick_ports(1);
-  auto node = std::make_unique<Node>(
-      ports[0], fast_fleet(0, roster_for(ports)));
+  auto node = std::make_unique<Node>();
+  node->start(fast_fleet(0, {node->address()}));
   EXPECT_TRUE(node->fleet->is_leader());  // leader by definition
   EXPECT_EQ(node->fleet->elections_run(), 0);
 
   const fabric::ShardSummary got =
-      submit_fleet_sweep(ports[0], 5, 200, 20'000, 30);
+      submit_fleet_sweep(node->port(), 5, 200, 20'000, 30);
   EXPECT_TRUE(fabric::deterministic_fields_equal(
       got.summary, reference_run(5, 200, 20'000)));
 }
 
 TEST(FleetSweep, CheckpointedSweepRestartsFromCommittedShards) {
-  const std::vector<int> ports = pick_ports(1);
   const std::string ckpt = temp_path("fleet_ckpt");
-  FleetOptions f = fast_fleet(0, roster_for(ports));
-  f.checkpoint_dir = ckpt;
+  // A one-member fleet on whatever port it binds.
+  const auto start_member = [&ckpt] {
+    auto node = std::make_unique<Node>();
+    FleetOptions f = fast_fleet(0, {node->address()});
+    f.checkpoint_dir = ckpt;
+    node->start(std::move(f));
+    return node;
+  };
   {
-    auto node = std::make_unique<Node>(ports[0], f);
+    auto node = start_member();
     const fabric::ShardSummary got =
-        submit_fleet_sweep(ports[0], 3, 300, 20'000, 50);
+        submit_fleet_sweep(node->port(), 3, 300, 20'000, 50);
     EXPECT_EQ(got.range.num_runs, 300);
   }
   // The shard files and manifest landed.
@@ -595,30 +599,28 @@ TEST(FleetSweep, CheckpointedSweepRestartsFromCommittedShards) {
   // A fresh daemon (a restart) over the same checkpoint dir resumes: the
   // sweep completes with the identical summary without recomputing the
   // committed shards (observable as an instant, still-correct result).
-  auto node = std::make_unique<Node>(ports[0], f);
+  auto node = start_member();
   const fabric::ShardSummary again =
-      submit_fleet_sweep(ports[0], 3, 300, 20'000, 50);
+      submit_fleet_sweep(node->port(), 3, 300, 20'000, 50);
   EXPECT_TRUE(fabric::deterministic_fields_equal(
       again.summary, reference_run(3, 300, 20'000)));
 }
 
 TEST(FleetSweep, LinkChaosDelaysButNeverCorrupts) {
-  const std::vector<int> ports = pick_ports(3);
-  const auto roster = roster_for(ports);
-  std::vector<std::unique_ptr<Node>> nodes;
+  std::vector<std::unique_ptr<Node>> nodes = bind_nodes(3);
+  const auto roster = roster_of(nodes);
   for (int i = 0; i < 3; ++i) {
     FleetOptions f = fast_fleet(i, roster);
     f.chaos_drop_prob = 0.25;  // a quarter of all exchanges just vanish
     f.chaos_seed = 17 + static_cast<std::uint64_t>(i);
     f.hb_miss_limit = 4;  // drops masquerade as misses; be tolerant
-    f.retry_budget = 5;
-    nodes.push_back(std::make_unique<Node>(
-        ports[static_cast<std::size_t>(i)], std::move(f)));
+    f.policy.retry_budget = 4;  // five remote attempts, then local
+    nodes[static_cast<std::size_t>(i)]->start(std::move(f));
   }
   ASSERT_TRUE(wait_until([&] { return converged(nodes); }, 40'000));
 
   const fabric::ShardSummary got =
-      submit_fleet_sweep(ports[0], 21, 300, 20'000, 30);
+      submit_fleet_sweep(nodes[0]->port(), 21, 300, 20'000, 30);
   EXPECT_EQ(got.range.num_runs, 300);
   EXPECT_TRUE(fabric::deterministic_fields_equal(
       got.summary, reference_run(21, 300, 20'000)));

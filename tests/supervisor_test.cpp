@@ -7,7 +7,8 @@
 //   * a hung worker is SIGKILLed at the shard timeout and retried;
 //   * a shard that exhausts its retry budget lands in incomplete_shards
 //     while every other shard still completes (graceful degradation);
-//   * resume skips checkpoint-committed shards without relaunching them;
+//   * resume skips checkpoint-committed shards without relaunching them,
+//     and reruns a shard an older manifest lists but whose file is gone;
 //   * THE CRASH-RESUME PIN: a sweep whose SUPERVISOR is SIGKILLed
 //     mid-flight, then resumed in a fresh process against the same
 //     checkpoint directory, yields a merged summary bit-identical to an
@@ -22,10 +23,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "fabric/checkpoint.h"
 #include "fabric/summary.h"
 #include "fabric/supervisor.h"
+#include "obs/json.h"
 #include "sched/batch.h"
 #include "sched/schedulers.h"
 
@@ -94,6 +96,11 @@ std::string temp_dir(const std::string& stem) {
   return dir;
 }
 
+std::string read_text(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
 std::vector<ShardTask> all_tasks(const CheckpointStore& store) {
   std::vector<ShardTask> tasks;
   for (int i = 0; i < store.num_shards(); ++i)
@@ -104,23 +111,22 @@ std::vector<ShardTask> all_tasks(const CheckpointStore& store) {
 SupervisorOptions fast_options() {
   SupervisorOptions options;
   options.workers = 3;
-  options.retry_budget = 3;
-  options.backoff_initial_seconds = 0.01;
-  options.backoff_max_seconds = 0.05;
-  options.shard_timeout_seconds = 30.0;
+  options.policy.retry_budget = 3;
+  options.policy.backoff_initial_seconds = 0.01;
+  options.policy.backoff_max_seconds = 0.05;
+  options.policy.timeout_seconds = 30.0;
   return options;
 }
 
 TEST(Backoff, GrowsGeometricallyAndSaturates) {
-  SupervisorOptions options;
-  options.backoff_initial_seconds = 0.1;
-  options.backoff_factor = 2.0;
-  options.backoff_max_seconds = 0.5;
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 0), 0.1);
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 1), 0.2);
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 2), 0.4);
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 3), 0.5);  // capped
-  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(options, 9), 0.5);
+  fabric::ShardPolicy policy;
+  policy.backoff_initial_seconds = 0.1;
+  policy.backoff_max_seconds = 0.5;
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(policy, 0), 0.1);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(policy, 1), 0.2);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(policy, 2), 0.4);
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(policy, 3), 0.5);  // capped
+  EXPECT_DOUBLE_EQ(fabric::backoff_seconds(policy, 9), 0.5);
 }
 
 TEST(Supervisor, CleanFleetCommitsEverythingWithoutRetries) {
@@ -168,7 +174,7 @@ TEST(Supervisor, HungWorkerIsKilledAtTheTimeoutAndRetried) {
   SupervisorOptions options = fast_options();
   // Far below the 30 s hang, yet roomy enough that a healthy attempt's
   // fsync'd shard write on a loaded machine is not mistaken for a hang.
-  options.shard_timeout_seconds = 3.0;
+  options.policy.timeout_seconds = 3.0;
   const ShardWorker worker = [&](const ShardTask& task, int attempt) {
     if (task.index == 0 && attempt == 0)
       std::this_thread::sleep_for(std::chrono::seconds(30));  // hang
@@ -191,7 +197,7 @@ TEST(Supervisor, BudgetExhaustionDegradesGracefully) {
   CheckpointStore store(temp_dir("sup_budget"));
   (void)store.open(test_config());
   SupervisorOptions options = fast_options();
-  options.retry_budget = 2;
+  options.policy.retry_budget = 2;
   // Shard 1 never succeeds; everything else is healthy.
   const ShardWorker worker = [&](const ShardTask& task, int) {
     if (task.index == 1) _exit(9);
@@ -217,7 +223,7 @@ TEST(Supervisor, ExitZeroWithoutAShardFileCountsAsFailure) {
   CheckpointStore store(temp_dir("sup_liar"));
   (void)store.open(test_config(12, 6));
   SupervisorOptions options = fast_options();
-  options.retry_budget = 1;
+  options.policy.retry_budget = 1;
   // Shard 0 claims success but never writes; the commit must catch it.
   const ShardWorker worker = [&](const ShardTask& task, int) {
     if (task.index == 0) return 0;
@@ -237,7 +243,7 @@ TEST(Supervisor, ResumeSkipsCommittedShardsWithoutLaunching) {
     (void)store.open(config);
     // First pass: only shards 0 and 2 succeed.
     SupervisorOptions options = fast_options();
-    options.retry_budget = 0;
+    options.policy.retry_budget = 0;
     const ShardWorker worker = [&](const ShardTask& task, int) {
       if (task.index == 1 || task.index == 3) _exit(5);
       return compute_and_write(store, task);
@@ -293,8 +299,8 @@ TEST(Supervisor, SigkilledSweepResumesToTheUninterruptedSummary) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
       return compute_and_write(store, task);
     };
-    // Report commits as they land by watching the store from a wrapper:
-    // run_supervised commits internally, so poll the manifest instead.
+    // Report commits as they land: run_supervised commits internally, so
+    // poll the directory, where every valid shard file is a commit.
     std::thread reporter([&] {
       for (;;) {
         CheckpointStore watch(dir);
@@ -340,13 +346,13 @@ TEST(Supervisor, SigkilledSweepResumesToTheUninterruptedSummary) {
   EXPECT_EQ(resumed.run_digest, uninterrupted.run_digest);
 }
 
-TEST(Supervisor, ConcurrentSupervisorsOnOneCheckpointDoNotDoubleCommit) {
+TEST(Supervisor, ConcurrentSupervisorsOnOneCheckpointAgree) {
   // Two whole supervisors race over the SAME checkpoint directory — the
-  // operator ran the resume command twice. The two-phase protocol must
+  // operator ran the resume command twice. The one-phase protocol must
   // make that harmless: shard writes are atomic and deterministic
-  // (identical bytes either way), manifest commits are idempotent, and
-  // the union is exactly one commit per shard with the bit-identical
-  // merged summary.
+  // (identical bytes either way), and the manifest is written once, so
+  // both finish, the union holds every shard, and the merged summary is
+  // bit-identical.
   const std::string dir = temp_dir("sup_concurrent");
   const SweepConfig config = test_config(32, 4);  // 8 shards
 
@@ -380,32 +386,53 @@ TEST(Supervisor, ConcurrentSupervisorsOnOneCheckpointDoNotDoubleCommit) {
     EXPECT_EQ(WEXITSTATUS(status), 0);
   }
 
-  // The manifest must list every shard exactly once — a duplicate index
-  // means a double commit slipped through the idempotence guard.
-  std::string manifest_text;
-  {
-    std::FILE* f = std::fopen((dir + "/manifest.json").c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char buf[1 << 14];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0)
-      manifest_text.append(buf, n);
-    std::fclose(f);
-  }
-  const obs::Json manifest = obs::Json::parse(manifest_text);
-  const obs::Json& committed = manifest.at("completed");
-  ASSERT_TRUE(committed.is_array());
-  std::vector<int> indexes;
-  for (std::size_t i = 0; i < committed.size(); ++i)
-    indexes.push_back(static_cast<int>(committed.at(i).as_number()));
-  std::vector<int> unique = indexes;
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  EXPECT_EQ(indexes.size(), unique.size()) << "manifest has duplicate commits";
-  EXPECT_EQ(unique.size(), 8u);
-
   CheckpointStore store(dir);
   EXPECT_EQ(store.open(config).size(), 8u);
+  EXPECT_TRUE(fabric::deterministic_fields_equal(
+      store.merged().to_batch_summary(), run_range(config.range)));
+
+  // Neither supervisor touched the manifest after the open that wrote it:
+  // it is byte-for-byte what a fresh open writes for this config.
+  const std::string fresh = temp_dir("sup_concurrent_fresh");
+  CheckpointStore fresh_store(fresh);
+  (void)fresh_store.open(config);
+  EXPECT_EQ(read_text(store.manifest_path()),
+            read_text(fresh_store.manifest_path()));
+}
+
+TEST(CheckpointStore, ListedShardWithoutAFileIsRerun) {
+  // Older builds listed committed shards in the manifest. A listed shard
+  // whose file is gone is not complete: open() counts only shard files,
+  // and the supervisor reruns the rest.
+  const std::string dir = temp_dir("ckpt_listed_missing");
+  const SweepConfig config = test_config();  // 4 shards
+  {
+    CheckpointStore store(dir);
+    (void)store.open(config);
+    ASSERT_EQ(compute_and_write(store, {0, store.shard_range(0)}), 0);
+  }
+  obs::Json manifest = obs::Json::object();
+  manifest["artifact"] = obs::Json(fabric::kManifestArtifactName);
+  obs::Json listed = obs::Json::array();
+  listed.push_back(obs::Json(0));
+  listed.push_back(obs::Json(1));
+  manifest["completed"] = std::move(listed);
+  manifest["config"] = fabric::sweep_config_to_json(config);
+  {
+    std::ofstream os(dir + "/manifest.json", std::ios::trunc);
+    os << manifest.dump() << "\n";
+  }
+
+  CheckpointStore store(dir);
+  EXPECT_EQ(store.open(config), (std::vector<int>{0}));
+  const SweepOutcome outcome = fabric::run_supervised(
+      all_tasks(store), fast_options(), store,
+      [&](const ShardTask& task, int) { return compute_and_write(store, task); });
+  EXPECT_TRUE(outcome.complete());
+  EXPECT_TRUE(outcome.shards[0].resumed);
+  EXPECT_FALSE(outcome.shards[1].resumed);
+  EXPECT_TRUE(outcome.shards[1].completed);
+  EXPECT_EQ(outcome.shards[1].attempts, 1);
   EXPECT_TRUE(fabric::deterministic_fields_equal(
       store.merged().to_batch_summary(), run_range(config.range)));
 }

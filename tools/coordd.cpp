@@ -93,6 +93,8 @@ int usage() {
       "              [--hb-interval-ms=N] [--hb-timeout-ms=N]\n"
       "              [--hb-miss-limit=N] [--shard-size=N]\n"
       "              [--shard-timeout-ms=N] [--retry-budget=N]\n"
+      "              (N retries after the first remote attempt, then the\n"
+      "              shard runs locally)\n"
       "              [--election-seed=N]\n"
       "  chaos:      [--chaos-kill-prob=P] [--chaos-kill-seed=N]\n"
       "              [--chaos-drop-prob=P] [--chaos-delay-ms=N]\n"
@@ -179,8 +181,10 @@ int main(int argc, char** argv) {
   flags.take_int("hb-timeout-ms", fopt.hb_timeout_ms);
   flags.take_int("hb-miss-limit", fopt.hb_miss_limit);
   flags.take_int("shard-size", fopt.shard_size);
-  flags.take_int("shard-timeout-ms", fopt.shard_timeout_ms);
-  flags.take_int("retry-budget", fopt.retry_budget);
+  int shard_timeout_ms = 0;
+  if (flags.take_int("shard-timeout-ms", shard_timeout_ms))
+    fopt.policy.timeout_seconds = shard_timeout_ms / 1000.0;
+  flags.take_int("retry-budget", fopt.policy.retry_budget);
   flags.take_uint64("election-seed", fopt.election_seed);
   flags.take_double("chaos-drop-prob", fopt.chaos_drop_prob);
   flags.take_int("chaos-delay-ms", fopt.chaos_delay_ms);
@@ -197,7 +201,7 @@ int main(int argc, char** argv) {
     return usage();
   }
   if (options.job_limits.chaos_kill_prob < 0.0 ||
-      options.job_limits.chaos_kill_prob > 1.0)
+      options.job_limits.chaos_kill_prob > 1.0 || fopt.policy.retry_budget < 0)
     return usage();
 
   raise_fd_limit();

@@ -21,21 +21,7 @@
 //   ./tools/hunt --protocol=ben-or --n=3 --t=1 --search=anneal --budget=500
 //   ./tools/hunt --replay=worst.json     # re-run + verify an artifact
 //
-// Flags (classic):
-//   --protocol=two|one-bit|unbounded|swsr|bounded|naive|multivalued
-//   --n=<procs>            (where the protocol is parameterized; default 3)
-//   --adversary=random|rr|avoid|split|starve
-//   --seeds=<count>        (default 2000)
-//   --steps=<budget>       (default 500000)
-//   --drain                (adversary phase then round-robin completion)
-//   --ablation=literal-cond2|naive-unanimity|no-guard|warm-recovery
-// Flags (search):
-//   --search=uniform|anneal|evo   --budget=<evals>     --search-seed=<s>
-//   --eval-steps=<per-run cap>    --horizon=<crash window>
-//   --max-crashes=<k> --stalls=<k> --recovery --reg-faults
-//   --recovery-delay=<max global steps>  --warm-lease=<steps>
-//   --protocol=ben-or --t=<tolerance>    (message substrate; msg faults on)
-//   --plan-out=FILE   --events-out=FILE.jsonl   --replay=FILE
+// `hunt --help` lists every flag.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -61,6 +47,38 @@ using namespace cil;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: hunt [flags]\n"
+    "classic:\n"
+    "  --protocol=two|one-bit|unbounded|swsr|bounded|naive|multivalued\n"
+    "                          (default bounded)\n"
+    "  --n=<procs>             where the protocol is parameterized\n"
+    "                          (default 3)\n"
+    "  --adversary=random|rr|avoid|split|starve  (default split)\n"
+    "  --seeds=<count>         (default 2000)\n"
+    "  --steps=<budget>        (default 500000)\n"
+    "  --drain                 adversary phase, then round-robin completion\n"
+    "  --ablation=literal-cond2|naive-unanimity|no-guard|warm-recovery\n"
+    "search:\n"
+    "  --search=uniform|anneal|evo   replaces the seed sweep\n"
+    "  --budget=<evals>        (default 2000)\n"
+    "  --search-seed=<s>       (default 1)\n"
+    "  --eval-steps=<per-run cap>     (default 20000)\n"
+    "  --horizon=<crash window>       (default 64)\n"
+    "  --max-crashes=<k>       (default n-1; t for ben-or)\n"
+    "  --stalls=<k>            (default 0)\n"
+    "  --recovery              allow crash-recovery\n"
+    "  --reg-faults            allow register faults\n"
+    "  --recovery-delay=<max global steps>  (default 64)\n"
+    "  --warm-lease=<steps>    (default 8)\n"
+    "  --protocol=ben-or --t=<tolerance>    message substrate, msg faults on\n"
+    "  --plan-out=FILE         write the worst plan (worst_plan.v1)\n"
+    "  --events-out=FILE.jsonl stream the worst run's events\n"
+    "  --replay=FILE           re-run and verify a worst_plan.v1 artifact\n"
+    "  --help                  this text\n"
+    "exit: 0 no violation (classic), search completed, or replay matched;\n"
+    "1 violation (classic) or replay mismatch; 2 usage error\n";
+
 struct Args {
   std::string protocol = "bounded";
   std::string adversary = "split";
@@ -85,10 +103,13 @@ struct Args {
   std::string plan_out;
   std::string events_out;
   std::string replay;
+  bool help = false;
 };
 
 bool parse(int argc, char** argv, Args& args) {
   cli::FlagSet flags(argc, argv);
+  args.help = flags.take_switch("help");
+  if (args.help) return true;
   flags.take_string("protocol", args.protocol);
   flags.take_string("adversary", args.adversary);
   flags.take_string("ablation", args.ablation);
@@ -415,7 +436,14 @@ int run_classic(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse(argc, argv, args)) return 2;
+  if (!parse(argc, argv, args)) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  if (args.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   if (!args.replay.empty()) return run_replay(args);
   if (!args.search.empty()) return run_search(args);
   return run_classic(args);

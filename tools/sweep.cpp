@@ -4,13 +4,14 @@
 // fleet of forked worker processes (src/fabric): the seed range is cut into
 // fixed-size shards, each shard runs through BatchRunner inside its own
 // child process, and each finished shard is persisted atomically into a
-// checkpoint directory and committed into a manifest. Workers that crash,
-// hang, or are chaos-killed are retried with exponential backoff; a shard
-// that exhausts its retry budget degrades the sweep to an explicit partial
-// result instead of poisoning it. Re-running the same command against the
-// same --checkpoint directory resumes: committed shards are skipped, and
-// the final merged summary is bit-identical to an uninterrupted run — which
-// --serial + --verify-against can prove from a second process.
+// checkpoint directory; that shard file is the shard's commit. Workers that
+// crash, hang, or are chaos-killed are retried with exponential backoff; a
+// shard that exhausts its retry budget degrades the sweep to an explicit
+// partial result instead of poisoning it. Re-running the same command
+// against the same --checkpoint directory resumes: committed shards are
+// skipped, and the final merged summary is bit-identical to an
+// uninterrupted run — which --serial + --verify-against can prove from a
+// second process.
 //
 //   # a 4-worker sweep, checkpointed, with fault injection:
 //   ./tools/sweep --protocol=unbounded --n=3 --seeds=240 --workers=4 \
@@ -19,31 +20,7 @@
 //   ./tools/sweep --protocol=unbounded --n=3 --seeds=240 --serial \
 //       --out=serial.json --verify-against=ckpt/summary.json
 //
-// Flags:
-//   --protocol=two|unbounded|bounded   --n=<procs>   (unbounded only)
-//   --adversary=random|avoid
-//   --fault-plan=SPEC       apply a shared fault schedule to every run
-//                           (FaultPlan::serialize form, e.g.
-//                           "fp1;seed=1;crash=0@2;recover=0@8"). Part of
-//                           the checkpoint identity: resuming a directory
-//                           under a different plan is refused.
-//   --seeds=<count>         (default 200)     --first-seed=<s> (default 1)
-//   --steps=<per-run cap, >= 1>  (default 1000000)
-//   --check-every=<k, >= 1> (default 1)
-//   --shard-size=<runs>     (default 0: seeds / (4 * workers), min 1)
-//   --workers=<procs>       (default 2)
-//   --threads=<per-worker BatchRunner threads> (default 1)
-//   --timeout-s=<per-shard wall clock>  (default 120; <= 0 disables)
-//   --retries=<per-shard budget>        (default 3)
-//   --backoff-ms=<initial>              (default 100)
-//   --checkpoint=DIR        (default "sweep_ckpt")
-//   --out=FILE              (default <checkpoint>/summary.json)
-//   --chaos-kill-prob=<p>   each shard attempt _exit()s mid-shard with
-//                           probability p (deterministic per attempt)
-//   --chaos-seed=<s>        (default 1)
-//   --serial                run in-process, no fork/checkpoint required
-//   --verify-against=FILE   compare this run's summary with an artifact
-//   --verbose
+// `sweep --help` lists every flag and the exit codes.
 //
 // The flags from --protocol to --shard-size are one fabric::SweepConfig,
 // the spec coordd's sweep jobs and the fleet's shards run too; a
@@ -52,9 +29,6 @@
 // under random scheduling takes its bitsliced lockstep kernel, fault-free
 // or under a representable crash/recovery plan; everything else takes its
 // per-seed path. Summaries are bit-identical either way.
-//
-// Exit codes: 0 complete (and verified, when asked); 1 verification
-// mismatch; 2 usage/config error; 3 sweep incomplete (budget exhausted).
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -79,6 +53,52 @@ using namespace cil;
 
 namespace {
 
+constexpr const char* kUsage =
+    "usage: sweep [flags]\n"
+    "sweep:\n"
+    "  --protocol=two|unbounded|bounded  (default unbounded)\n"
+    "  --n=<procs>              process count (unbounded only; default 3)\n"
+    "  --adversary=random|avoid (default random)\n"
+    "  --fault-plan=SPEC        a shared fault schedule for every run, in\n"
+    "                           FaultPlan::serialize form, e.g.\n"
+    "                           \"fp1;seed=1;crash=0@2;recover=0@8\"\n"
+    "  --seeds=<count>          (default 200)\n"
+    "  --first-seed=<s>         (default 1)\n"
+    "  --steps=<per-run cap>    (>= 1; default 1000000)\n"
+    "  --check-every=<k>        (>= 1; default 1)\n"
+    "  --shard-size=<runs>      (default 0: seeds / (4 * workers), min 1)\n"
+    "fabric:\n"
+    "  --workers=<procs>        forked workers (default 2)\n"
+    "  --threads=<n>            BatchRunner threads per worker (default 1)\n"
+    "  --timeout-s=<secs>       per-shard wall clock; the worker is\n"
+    "                           SIGKILLed and the shard retried\n"
+    "                           (default 120; <= 0 disables)\n"
+    "  --retries=<n>            retries per shard after its first attempt;\n"
+    "                           a shard that fails n+1 times is reported\n"
+    "                           incomplete (default 3)\n"
+    "  --backoff-ms=<ms>        gate before a shard's first retry; it\n"
+    "                           doubles per retry, up to 5 s (default 100)\n"
+    "  --checkpoint=DIR         (default sweep_ckpt) holds manifest.json,\n"
+    "                           the sweep's identity, written once, and one\n"
+    "                           shard_<i>.json per finished shard. The\n"
+    "                           atomically written shard file is the\n"
+    "                           shard's commit: rerunning the command\n"
+    "                           resumes from every valid shard file, and\n"
+    "                           reruns any shard whose file is missing.\n"
+    "                           A directory written by a different sweep\n"
+    "                           (any sweep: flag, or a shard size --workers\n"
+    "                           resolves differently) is refused.\n"
+    "  --out=FILE               (default <checkpoint>/summary.json)\n"
+    "  --chaos-kill-prob=<p>    each shard attempt _exit()s mid-shard with\n"
+    "                           probability p (deterministic per attempt)\n"
+    "  --chaos-seed=<s>         (default 1)\n"
+    "  --serial                 run in-process: no fork, no checkpoint\n"
+    "  --verify-against=FILE    compare this run's summary with an artifact\n"
+    "  --verbose                per-shard events on stderr\n"
+    "  --help                   this text\n"
+    "exit: 0 complete (and verified); 1 verify mismatch; 2 usage or config\n"
+    "error; 3 incomplete (a shard spent its retries)\n";
+
 struct Args {
   /// The sweep the flags describe. shard_size 0 is resolved per mode:
   /// seeds / (4 * workers) when forked, the whole range with --serial.
@@ -95,6 +115,7 @@ struct Args {
   bool serial = false;
   std::string verify_against;
   bool verbose = false;
+  bool help = false;
 };
 
 bool parse(int argc, char** argv, Args& args) {
@@ -104,6 +125,8 @@ bool parse(int argc, char** argv, Args& args) {
   sweep.scheduler = "random";
   sweep.range = {1, 200};
   cli::FlagSet flags(argc, argv);
+  args.help = flags.take_switch("help");
+  if (args.help) return true;
   flags.take_string("protocol", sweep.protocol);
   flags.take_int("n", sweep.num_processes);
   flags.take_string("adversary", sweep.scheduler);
@@ -309,9 +332,9 @@ int run_fleet(const Args& args) {
 
   fabric::SupervisorOptions sup;
   sup.workers = args.workers;
-  sup.shard_timeout_seconds = args.timeout_s;
-  sup.retry_budget = args.retries;
-  sup.backoff_initial_seconds =
+  sup.policy.timeout_seconds = args.timeout_s;
+  sup.policy.retry_budget = args.retries;
+  sup.policy.backoff_initial_seconds =
       static_cast<double>(args.backoff_ms) / 1000.0;
   sup.verbose = args.verbose;
 
@@ -375,7 +398,14 @@ int run_fleet(const Args& args) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse(argc, argv, args)) return 2;
+  if (!parse(argc, argv, args)) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  if (args.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   try {
     return args.serial ? run_serial(args) : run_fleet(args);
   } catch (const std::exception& e) {
